@@ -25,6 +25,7 @@ from .errors import (
     DegenerateDenominator,
     DegenerateQ2,
     PoleEncountered,
+    StepFailure,
 )
 from .rk import HermiteTable, solve_rk
 
@@ -63,10 +64,9 @@ class AuxSolution:
     t_end: float
     hm: painleve2.Painleve2Solution
     table: HermiteTable
-    scale_log: np.ndarray
+    rhs_calls: int = 0
     diagnostics: list = field(default_factory=list)
     tail_int_omega: float = 0.0
-    tail_bound_alpha: float = 0.0
     b_constraint_scale: float = 2.0 / 3.0
 
     # --- channel accessors (dense, cubic Hermite) ---
@@ -123,6 +123,12 @@ class AuxSolution:
         return [t for t, name in self.diagnostics if name == "q2-zero"]
 
 
+def _first(t, flagged):
+    """First flagged t on a backward route (the largest). The route RHS
+    sees scalars inside a step and arrays at the output nodes."""
+    return float(np.max(np.where(flagged, t, -np.inf)))
+
+
 def _scan_events(ts, vals, name, refine=None):
     """Sign changes of vals over the node array; returns [(t, name)]."""
     out = []
@@ -145,16 +151,14 @@ def integrate_linear(
     hm: painleve2.Painleve2Solution,
     t_start: float = 12.0,
     t_end: float = -11.0,
-    tol: float = 1e-16,
+    tol: float = 1e-13,
     h_out: float = 0.002,
     init=(0.0, 1.0, 0.0),
 ) -> AuxSolution:
     """Integrate the linear (mu+, mu-, nu) system backward from t_start.
 
     Initial data (0, 1, 0) realizes q2 = -1, q1 = 0 (hence alpha = 0) at
-    t_start; any nonzero rescaling of it leaves q2 and q1 unchanged. The
-    state is rescaled by its max-norm whenever it exceeds 1e100 with the
-    removed log-scale accumulated per node.
+    t_start; any nonzero rescaling of it leaves q2 and q1 unchanged.
     """
     if t_start < 8.0:
         raise BadInterval("integrate_linear: t_start >= 8 required")
@@ -171,9 +175,11 @@ def integrate_linear(
         lu = ut / u
         mp_, mm_, nu_ = y[0], y[1], y[2]
         chi = mp_ - mm_
-        if np.sign(float(chi)) != chi_sign:
+        crossed = chi_sign * chi <= 0
+        if crossed.any():
             raise PoleEncountered(
-                f"mu_plus - mu_minus crosses zero near t={t:.6f} (q2 pole)"
+                f"mu_plus - mu_minus crosses zero near t={_first(t, crossed):.6f}"
+                " (q2 pole)"
             )
         al = nu_ / chi - lu * mp_ / chi
         q2 = (mp_ + mm_) / chi
@@ -188,17 +194,14 @@ def integrate_linear(
         ]
 
     y0 = [init[0], init[1], init[2], -0.5 * np.log(u_start), 0.0, 0.0, 0.0]
-    sol = solve_rk(
-        rhs,
-        t_start,
-        t_end,
-        y0,
-        rtol=tol,
-        atol=1e-24,
-        h_out=h_out,
-        rescale_threshold=1e100,
-        rescale_channels=slice(0, 3),
-    )
+    try:
+        sol = solve_rk(rhs, t_start, t_end, y0, rtol=tol, atol=1e-24, h_out=h_out)
+    except StepFailure as exc:
+        # the (mu+, mu-, nu) channels are linear with smooth coefficients:
+        # only the 1/chi quadrature channels can stop the integrator
+        raise PoleEncountered(
+            f"integration stopped near t={exc.t:.6f} (q2 pole)"
+        ) from exc
     table = HermiteTable(sol.t, sol.y, sol.yp)
     chi_nodes = sol.y[0] - sol.y[1]
     pole_events = _scan_events(sol.t, chi_nodes, "chi-zero")
@@ -213,29 +216,23 @@ def integrate_linear(
         t_end=float(t_end),
         hm=hm,
         table=table,
-        scale_log=sol.scale_log,
+        rhs_calls=sol.rhs_calls,
         diagnostics=_scan_events(
             sol.t,
             mu_nodes,
             "q2-zero",
             refine=lambda tv: float(table(tv, component=0) + table(tv, component=1)),
         ),
-        tail_int_omega=_tail_int_omega(hm, t_start),
-        tail_bound_alpha=float(f(t_start)[0] ** 2),
+        tail_int_omega=hm.int_omega_to_inf(t_start),
     )
     return aux
-
-
-def _tail_int_omega(hm, t_start):
-    """int_{t_start}^inf omega, via the stored cumulative plus Airy tail."""
-    return hm.int_omega_to_inf(t_start)
 
 
 def integrate_nonlinear(
     hm: painleve2.Painleve2Solution,
     t_start: float = 12.0,
     t_end: float = -11.0,
-    tol: float = 1e-16,
+    tol: float = 1e-13,
     h_out: float = 0.002,
     b_constraint_scale: float = 2.0 / 3.0,
 ) -> AuxSolution:
@@ -258,8 +255,9 @@ def integrate_nonlinear(
         u, ut, om = f(t)
         lu = ut / u
         d, al = y[0], y[1]
-        if abs(d) > BLOWUP_GUARD or abs(al) > BLOWUP_GUARD:
-            raise BlowUp(t)
+        blown = np.maximum(abs(d), abs(al)) > BLOWUP_GUARD
+        if blown.any():
+            raise BlowUp(_first(t, blown))
         ddot = 2.0 * (1.0 - lam) * al * (d - 1.0) + lu * d - (lam / 2.0) * lu * d * d
         aldot = (
             al * ((2.0 / 3.0) * al + lu * (3.0 - d) / 3.0)
@@ -287,15 +285,14 @@ def integrate_nonlinear(
         t_end=float(t_end),
         hm=hm,
         table=table,
-        scale_log=sol.scale_log,
+        rhs_calls=sol.rhs_calls,
         diagnostics=_scan_events(
             sol.t,
             sol.y[0] - 1.0,
             "q2-zero",
             refine=lambda tv: float(table(tv, component=0) - 1.0),
         ),
-        tail_int_omega=_tail_int_omega(hm, t_start),
-        tail_bound_alpha=float(u_start**2),
+        tail_int_omega=hm.int_omega_to_inf(t_start),
         b_constraint_scale=lam,
     )
 
@@ -327,13 +324,9 @@ def compute_log_kappa(aux: AuxSolution, hm: painleve2.Painleve2Solution) -> AuxS
         rtol=1e-13,
         atol=1e-18,
         h_out=0.004,
-        dtype=np.float64,
     )
-    recomputed = HermiteTable(sol.t, sol.y, sol.yp)
-    stored = np.array([aux.log_kappa_at(tv) for tv in sol.t])
-    drift = float(np.max(np.abs(stored - sol.y[0])))
+    drift = float(np.max(np.abs(aux.log_kappa_at(sol.t) - sol.y[0])))
     aux.diagnostics.append((aux.t_start, f"log-kappa-recompute-drift:{drift:.3e}"))
-    aux._log_kappa_recomputed = recomputed
     return aux
 
 
@@ -647,7 +640,7 @@ def export_diagnostics(aux: AuxSolution, path) -> None:
         "t_start": aux.t_start,
         "t_end": aux.t_end,
         "events": [{"t": float(t), "event": name} for t, name in aux.diagnostics],
-        "max_scale_log": float(np.max(np.abs(aux.scale_log))),
+        "rhs_calls": aux.rhs_calls,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

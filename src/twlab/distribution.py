@@ -81,9 +81,9 @@ def log_F6(
     i_om = -float(j_om) + aux.tail_int_omega
     i_al = -float(j_al)
     i_one = -float(j_one)
-    return float(
-        np.log((1.0 - q2) / 2.0) + i_om / 3.0 + (2.0 / 3.0) * i_al - i_one / 3.0
-    )
+    log_f = np.log((1.0 - q2) / 2.0) + i_om / 3.0 + (2.0 / 3.0) * i_al - i_one / 3.0
+    # roundoff in the saturated right tail would otherwise give F6 = 1 + ulp
+    return min(float(log_f), 0.0)
 
 
 def eval_F6(

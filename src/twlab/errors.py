@@ -38,7 +38,11 @@ class PoleEncountered(TwlabError):
 
 
 class StepFailure(TwlabError):
-    """Adaptive step size underflowed."""
+    """The adaptive integrator failed or exhausted its step budget at t."""
+
+    def __init__(self, t, message=None):
+        self.t = t
+        super().__init__(message or f"integrator failed at t={t}")
 
 
 class BlowUp(TwlabError):

@@ -34,6 +34,8 @@ __all__ = [
 
 CBRT3 = 3.0 ** (1.0 / 3.0)
 SCALE_T = 3.0 ** (2.0 / 3.0)
+# criterion 6: the O(h^2) edge-PDE residual at stride 2 over stride 1
+RICHARDSON_WINDOW = (3.5, 4.5)
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 SQRT2 = np.sqrt(2.0)
+# half-width in t of the moving average in _denoise_slope
+SLOPE_WINDOW = 0.025
 
 # t -> -inf series, coefficients exact as printed: each term is
 # coef * sqrt(2)^s2 * (-t)^expo.  For 'u' the ladder multiplies the leading
@@ -339,6 +341,7 @@ def solve_hastings_mcleod(
         ut[i] = (
             25 * u[i] - 48 * u[i - 1] + 36 * u[i - 2] - 16 * u[i - 3] + 3 * u[i - 4]
         ) / (12 * h)
+    ut = _denoise_slope(t, u, ut, h)
     omega = u**4 + t * u**2 - ut**2
 
     # cumulative integrals from the right (corrected trapezoid, O(h^4))
@@ -375,15 +378,38 @@ def solve_hastings_mcleod(
     )
 
 
+def _denoise_slope(t, u, ut, h):
+    """u' at the nodes without the roundoff noise of 5-point differences.
+
+    The differences carry the rounding of u over h, white noise of ~1e-13
+    at h = 5e-4 that an adaptive integrator stepping over many cells
+    samples rather than averages. An antiderivative of u'' = t u + 2 u^3
+    has no such noise but drifts smoothly away (~1e-10 over [-13, 13]);
+    adding back a centered moving average of the difference (half-width
+    SLOPE_WINDOW, narrowing at the ends) keeps the smooth part only.
+    """
+    f = t * u + 2 * u**3
+    fp = u + (t + 6 * u**2) * ut
+    seg = h * (f[:-1] + f[1:]) / 2 + h * h * (fp[:-1] - fp[1:]) / 12
+    # summed from the right, so that it keeps relative accuracy where u and
+    # u' decay like Ai
+    antider = ut[-1] - np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    cum = np.concatenate([[0.0], np.cumsum(ut - antider)])
+    k = np.arange(len(t))
+    half = np.minimum(max(1, round(SLOPE_WINDOW / h)), np.minimum(k, len(t) - 1 - k))
+    return antider + (cum[k + half + 1] - cum[k - half]) / (2 * half + 1)
+
+
 def eval(solution: Painleve2Solution, t):
     """(u, ut, omega) at t by cubic Hermite interpolation."""
     return solution.eval(t)
 
 
 def fast_eval(solution: Painleve2Solution):
-    """Scalar evaluator closure for tight ODE right-hand-side loops.
+    """Evaluator closure for tight ODE right-hand-side loops.
 
-    Returns f(t) -> (u, ut, omega_smooth) using plain float arithmetic.
+    Returns f(t) -> (u, ut, omega_smooth): plain float arithmetic for a
+    scalar t, elementwise for an array of t.
     """
     tg = solution.grid
     ug = solution.u
@@ -394,9 +420,12 @@ def fast_eval(solution: Painleve2Solution):
     nmax = len(tg) - 2
 
     def f(t):
-        t = float(t)
-        i = int((t - t0) / h)
-        i = 0 if i < 0 else (nmax if i > nmax else i)
+        if np.ndim(t):
+            i = np.clip(((t - t0) / h).astype(int), 0, nmax)
+        else:
+            t = float(t)
+            i = int((t - t0) / h)
+            i = 0 if i < 0 else (nmax if i > nmax else i)
         s = (t - tg[i]) / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2

@@ -101,46 +101,66 @@ for _k in range(1, len(_U)):
     _V[_k] = -(6 * _k + 1) / (6 * _k - 1) * _U[_k]
 
 
-def _airy_asym_pos(t: float) -> tuple[float, float]:
+def _airy_asym_pos(t: np.ndarray):
+    """Ai, Ai' for t >= 6 from the exp(-z) expansion, z = (2/3) t^{3/2}.
+
+    The sum over term index k runs for all points at once; each point stops
+    at its own optimal truncation, the first term larger than the one
+    before it.
+    """
     z = (2.0 / 3.0) * t**1.5
-    s = sp = 0.0
-    prev = np.inf
-    sgn = 1.0
-    zk = 1.0
+    s, sp = sums = np.zeros((2,) + t.shape)
+    prev = np.full_like(t, np.inf)
+    live = np.ones(t.shape, dtype=bool)
+    zk = np.ones_like(t)
     for k in range(len(_U)):
         term = _U[k] / zk
-        if abs(term) > prev:
+        live &= term <= prev
+        if not live.any():
             break
-        s += sgn * term
-        sp += sgn * _V[k] / zk
-        prev = abs(term)
-        sgn = -sgn
-        zk *= z
+        sums += np.where(live, (-1) ** k * np.array([_U[k], _V[k]])[:, None] / zk, 0.0)
+        prev = term
+        zk = zk * z
     pre = np.exp(-z) / (2 * np.sqrt(np.pi) * t**0.25)
     return pre * s, -(t**0.25) * np.exp(-z) / (2 * np.sqrt(np.pi)) * sp
 
 
-def _airy_asym_neg(t: float) -> tuple[float, float]:
+def _airy_asym_neg(t: np.ndarray):
+    """Ai, Ai' for t <= -7.5 from the oscillatory expansion in
+    z = (2/3) (-t)^{3/2}, each point at its own optimal truncation."""
     x = -t
     z = (2.0 / 3.0) * x**1.5
-    P = Q = Pp = Qp = 0.0
-    prev = np.inf
-    sgn = 1.0
+    P, Q, Pp, Qp = sums = np.zeros((4,) + t.shape)
+    prev = np.full_like(t, np.inf)
+    live = np.ones(t.shape, dtype=bool)
     for k in range(len(_U) // 2 - 1):
-        e_t = _U[2 * k] / z ** (2 * k)
-        o_t = _U[2 * k + 1] / z ** (2 * k + 1)
-        if max(abs(e_t), abs(o_t)) > prev:
+        ze, zo = z ** (2 * k), z ** (2 * k + 1)
+        terms = np.array([_U[2 * k] / ze, _U[2 * k + 1] / zo,
+                          _V[2 * k] / ze, _V[2 * k + 1] / zo])
+        big = np.maximum(terms[0], terms[1])
+        live &= big <= prev
+        if not live.any():
             break
-        P += sgn * e_t
-        Q += sgn * o_t
-        Pp += sgn * _V[2 * k] / z ** (2 * k)
-        Qp += sgn * _V[2 * k + 1] / z ** (2 * k + 1)
-        prev = max(abs(e_t), abs(o_t))
-        sgn = -sgn
+        sums += np.where(live, (-1) ** k * terms, 0.0)
+        prev = big
     c = np.cos(z - np.pi / 4)
     s = np.sin(z - np.pi / 4)
     ai = (c * P + s * Q) / (np.sqrt(np.pi) * x**0.25)
     aip = (x**0.25) / np.sqrt(np.pi) * (s * Pp - c * Qp)
+    return ai, aip
+
+
+def _airy_values(ts: np.ndarray):
+    """Ai, Ai' over an array in [-30, 30], each point on its own branch."""
+    ai = np.empty_like(ts)
+    aip = np.empty_like(ts)
+    for branch, mask in (
+        (_airy_series_arrays, (ts > _SERIES_LO) & (ts < _SERIES_HI)),
+        (_airy_asym_pos, ts >= _SERIES_HI),
+        (_airy_asym_neg, ts <= _SERIES_LO),
+    ):
+        if mask.any():
+            ai[mask], aip[mask] = branch(ts[mask])
     return ai, aip
 
 
@@ -149,12 +169,8 @@ def airy(t: float) -> AiryValue:
     t = float(t)
     if not (AIRY_T_MIN <= t <= AIRY_T_MAX):
         raise DomainError(f"airy: t={t} outside [{AIRY_T_MIN}, {AIRY_T_MAX}]")
-    if _SERIES_LO < t < _SERIES_HI:
-        ai, aip = _airy_series_arrays(np.array([t]))
-        return AiryValue(float(ai[0]), float(aip[0]))
-    if t >= _SERIES_HI:
-        return AiryValue(*_airy_asym_pos(t))
-    return AiryValue(*_airy_asym_neg(t))
+    ai, aip = _airy_values(np.array([t]))
+    return AiryValue(float(ai[0]), float(aip[0]))
 
 
 def airy_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,15 +178,7 @@ def airy_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and (ts.min() < AIRY_T_MIN or ts.max() > AIRY_T_MAX):
         raise DomainError("airy_grid: arguments outside [-30, 30]")
-    ai = np.empty_like(ts)
-    aip = np.empty_like(ts)
-    mid = (ts > _SERIES_LO) & (ts < _SERIES_HI)
-    if mid.any():
-        ai[mid], aip[mid] = _airy_series_arrays(ts[mid])
-    for i in np.nonzero(~mid)[0]:
-        v = _airy_asym_pos(ts[i]) if ts[i] >= _SERIES_HI else _airy_asym_neg(ts[i])
-        ai[i], aip[i] = v
-    return ai, aip
+    return _airy_values(ts)
 
 
 def airy_branch_values(t: float) -> tuple[AiryValue, AiryValue]:
@@ -179,13 +187,22 @@ def airy_branch_values(t: float) -> tuple[AiryValue, AiryValue]:
     The series branch is meaningful for |t| <= ~9, the asymptotic branch for
     |t| >= ~4; the overlap is where the routing switch is audited.
     """
-    ai_s, aip_s = _airy_series_arrays(np.array([float(t)]))
-    series = AiryValue(float(ai_s[0]), float(aip_s[0]))
-    if t >= 0:
-        asym = AiryValue(*_airy_asym_pos(float(t)))
-    else:
-        asym = AiryValue(*_airy_asym_neg(float(t)))
-    return series, asym
+    ts = np.array([float(t)])
+    ai_s, aip_s = _airy_series_arrays(ts)
+    ai_a, aip_a = _airy_asym_pos(ts) if t >= 0 else _airy_asym_neg(ts)
+    return (
+        AiryValue(float(ai_s[0]), float(aip_s[0])),
+        AiryValue(float(ai_a[0]), float(aip_a[0])),
+    )
+
+
+def _legendre(m: int, x: np.ndarray):
+    """P_m(x) and P_m'(x) by the three-term recurrence."""
+    p0 = np.ones_like(x)
+    p1 = x.copy()
+    for j in range(2, m + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, m * (x * p1 - p0) / (x * x - 1)
 
 
 def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
@@ -196,19 +213,14 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
         raise BadInterval("gauss_legendre: need a < b")
     k = np.arange(1, m + 1)
     x = np.cos(np.pi * (k - 0.25) / (m + 0.5))
-    dp = np.ones_like(x)
     for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for j in range(2, m + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = m * (x * p1 - p0) / (x * x - 1)
-        dx = p1 / dp
+        p, dp = _legendre(m, x)
+        dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
     x = x[::-1]
-    dp = dp[::-1]
+    _, dp = _legendre(m, x)   # P_m' at the converged nodes
     w = 2.0 / ((1 - x * x) * dp * dp)
     half = 0.5 * (b - a)
     return QuadratureRule(

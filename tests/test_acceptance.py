@@ -130,7 +130,9 @@ def test_criterion_6_pde_residual(hm, aux_lin):
     rb = laxframe.edge_pde_residual(fld_bad, stride=1)
     elapsed = time.perf_counter() - t0
     assert r1 <= 1e-3
-    assert 3.5 <= r2 / r1 <= 4.5
+    lo, hi = laxframe.RICHARDSON_WINDOW
+    assert (lo, hi) == (3.5, 4.5)
+    assert lo <= r2 / r1 <= hi
     assert rb / r1 >= 1e3
     assert elapsed < 300.0
     report(6, f"residual={r1:.2e}, ratio={r2/r1:.2f}, inflation={rb/r1:.0f}x, "

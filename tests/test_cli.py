@@ -171,6 +171,15 @@ def test_verify_pde_coarse(tmp_path):
     assert rep["inflation"] > 50.0
 
 
+def test_verify_pde_gate_uses_richardson_window():
+    # residual 1e-4 and inflation 1e4 pass; only the ratio varies
+    r1, rb = 1e-4, 1.0
+    assert cli.pde_gates_ok(r1, 3.57 * r1, rb, 1.0 / 64.0)
+    assert not cli.pde_gates_ok(r1, 3.2 * r1, rb, 1.0 / 64.0)
+    assert not cli.pde_gates_ok(r1, 4.6 * r1, rb, 1.0 / 64.0)
+    assert not cli.pde_gates_ok(r1, 3.2 * r1, rb, 1.0 / 16.0)
+
+
 def test_threads_env(monkeypatch):
     monkeypatch.setenv("TWLAB_THREADS", "4")
     assert cli._threads() == 4

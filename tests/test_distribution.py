@@ -36,6 +36,12 @@ def test_f6_saturates_right(hm, aux_lin):
     assert abs(distribution.eval_F6(hm, aux_lin, 8.0 / SC) - 1.0) < 1e-9
 
 
+def test_log_f6_never_positive(hm, aux_lin):
+    # in the saturated right tail roundoff once left log F6 at up to +1.6e-16
+    ts = np.linspace(2.5, 3.5, 201)
+    assert max(distribution.log_F6(hm, aux_lin, t) for t in ts) <= 0.0
+
+
 def test_f6_monotone_on_internal_window(hm, aux_lin):
     ts = np.linspace(-9.0, 8.0, 200) / SC
     F = np.array([distribution.eval_F6(hm, aux_lin, t) for t in ts])

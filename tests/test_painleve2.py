@@ -17,6 +17,17 @@ def test_boundary_lock_right(hm):
     assert abs(u6 - specfun.airy(6.0).ai) < 1e-10
 
 
+def test_slope_table_without_difference_noise(hm):
+    # u' stays on the 5-point differences of u (up to their noise) ...
+    u, h = hm.u, hm.step
+    fd = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
+    assert np.max(np.abs(hm.ut[2:-2] - fd)) < 1e-11
+    # ... without their white noise (~1e-13, the rounding of u over h): 6th
+    # differences remove the smooth part, std / sqrt(924) estimates the noise
+    assert np.std(np.diff(fd, 6)) / np.sqrt(924) > 5e-14
+    assert np.std(np.diff(hm.ut, 6)) / np.sqrt(924) < 1e-14
+
+
 def test_left_series_window(hm):
     # numeric vs the 5-correction series, bounded by 2x the first omitted term
     for t in np.linspace(-12.0, -8.0, 17):

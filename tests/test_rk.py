@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,31 +21,25 @@ def test_backward_direction_and_nodes():
     assert abs(sol.y[0, -1] - np.exp(-4.0)) < 1e-13
 
 
-def test_rescaling_ledger():
-    # y' = y grows past the threshold; ratios survive, ledger records scale
-    sol = rk.solve_rk(
-        lambda t, y: [y[0], y[1]],
-        0.0,
-        12.0,
-        [1.0, 2.0],
-        h_out=0.5,
-        rescale_threshold=100.0,
-        rescale_channels=slice(0, 2),
-    )
-    assert sol.scale_log[-1] > 0
-    # ratio is scale-invariant
-    assert abs(sol.y[1, -1] / sol.y[0, -1] - 2.0) < 1e-12
-    # ledger restores the true magnitude
-    assert abs(np.log(sol.y[0, -1]) + sol.scale_log[-1] - 12.0) < 1e-10
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_failure_on_singular_rhs():
+    # y' = y^2, y(0) = 1 has y = 1/(1 - t), which blows up at t = 1
+    with pytest.raises(StepFailure) as exc:
+        rk.solve_rk(lambda t, y: [y[0] ** 2], 0.0, 2.0, [1.0], h_out=0.1)
+    assert abs(exc.value.t - 1.0) < 1e-6
+
+
+def test_step_budget_counts_rhs_calls():
     with pytest.raises(StepFailure):
-        rk.solve_rk(
-            lambda t, y: [y[0] / (t - 0.5)], 0.0, 1.0, [1.0], h_out=0.1,
-            max_steps=10000,
-        )
+        rk.solve_rk(lambda t, y: [-y[0]], 0.0, 20.0, [1.0], max_rhs_calls=100)
+    sol = rk.solve_rk(lambda t, y: [-y[0]], 0.0, 20.0, [1.0], max_rhs_calls=10_000)
+    assert 0 < sol.rhs_calls <= 10_000
+
+
+def test_rtol_below_floor_is_raised_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = rk.solve_rk(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], rtol=1e-16)
+    assert abs(sol.y[0, -1] - np.exp(-1.0)) < 1e-14
 
 
 def test_hermite_table_component_and_vector():
