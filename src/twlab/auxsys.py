@@ -27,7 +27,7 @@ from .errors import (
     PoleEncountered,
     StepFailure,
 )
-from .rk import HermiteTable, solve_rk
+from .rk import HermiteTable, diff5, solve_rk
 
 __all__ = [
     "AuxSolution",
@@ -47,7 +47,9 @@ __all__ = [
     "export_diagnostics",
 ]
 
-BLOWUP_GUARD = 1e8
+# bound on |q2| (linear route) and on |delta|, |alpha| (nonlinear route);
+# the solved trajectories stay below 3
+BLOWUP_GUARD = 1e6
 
 
 @dataclass(eq=False)
@@ -96,12 +98,6 @@ class AuxSolution:
         y = self.table(t)
         return y[3] if self.route == "linear" else y[2]
 
-    def mu_at(self, t):
-        if self.route != "linear":
-            raise BadInterval("mu channels exist only on the linear route")
-        y = self.table(t)
-        return y[0], y[1], y[2]
-
     def integrals_from_start(self, t):
         """(int omega, int alpha, int (u'/u)(1+q2)) from t_start down to t."""
         if self.route != "linear":
@@ -129,21 +125,21 @@ def _first(t, flagged):
     return float(np.max(np.where(flagged, t, -np.inf)))
 
 
-def _scan_events(ts, vals, name, refine=None):
-    """Sign changes of vals over the node array; returns [(t, name)]."""
+def _q2_zero_events(aux):
+    """Sign changes of q2 between output nodes, refined by bisection on the
+    interpolant; returns [(t, "q2-zero")]."""
+    ts = aux.grid
+    s = np.sign(aux.q2_nodes())
     out = []
-    s = np.sign(vals)
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    for i in idx:
+    for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
         t0, t1 = ts[i], ts[i + 1]
-        if refine is not None:
-            for _ in range(60):
-                tm = 0.5 * (t0 + t1)
-                if np.sign(refine(tm)) == np.sign(refine(t0)):
-                    t0 = tm
-                else:
-                    t1 = tm
-        out.append((0.5 * (t0 + t1), name))
+        for _ in range(60):
+            tm = 0.5 * (t0 + t1)
+            if np.sign(aux.q2_at(tm)) == np.sign(aux.q2_at(t0)):
+                t0 = tm
+            else:
+                t1 = tm
+        out.append((0.5 * (t0 + t1), "q2-zero"))
     return out
 
 
@@ -175,12 +171,11 @@ def integrate_linear(
         lu = ut / u
         mp_, mm_, nu_ = y[0], y[1], y[2]
         chi = mp_ - mm_
-        crossed = chi_sign * chi <= 0
-        if crossed.any():
-            raise PoleEncountered(
-                f"mu_plus - mu_minus crosses zero near t={_first(t, crossed):.6f}"
-                " (q2 pole)"
-            )
+        # chi crossing zero, or |q2| = |mu+ + mu-| / |chi| past the guard:
+        # near a pole roundoff in chi would otherwise creep the steps on
+        pole = (chi_sign * chi <= 0) | (abs(mp_ + mm_) > BLOWUP_GUARD * abs(chi))
+        if pole.any():
+            raise PoleEncountered(f"q2 pole near t={_first(t, pole):.6f}")
         al = nu_ / chi - lu * mp_ / chi
         q2 = (mp_ + mm_) / chi
         return [
@@ -202,29 +197,16 @@ def integrate_linear(
         raise PoleEncountered(
             f"integration stopped near t={exc.t:.6f} (q2 pole)"
         ) from exc
-    table = HermiteTable(sol.t, sol.y, sol.yp)
-    chi_nodes = sol.y[0] - sol.y[1]
-    pole_events = _scan_events(sol.t, chi_nodes, "chi-zero")
-    if pole_events:
-        raise PoleEncountered(
-            f"mu+ - mu- crosses zero near t={pole_events[0][0]:.6f} (q2 pole)"
-        )
-    mu_nodes = sol.y[0] + sol.y[1]
     aux = AuxSolution(
         route="linear",
         t_start=float(t_start),
         t_end=float(t_end),
         hm=hm,
-        table=table,
+        table=HermiteTable(sol.t, sol.y, sol.yp),
         rhs_calls=sol.rhs_calls,
-        diagnostics=_scan_events(
-            sol.t,
-            mu_nodes,
-            "q2-zero",
-            refine=lambda tv: float(table(tv, component=0) + table(tv, component=1)),
-        ),
         tail_int_omega=hm.int_omega_to_inf(t_start),
     )
+    aux.diagnostics = _q2_zero_events(aux)
     return aux
 
 
@@ -278,23 +260,18 @@ def integrate_nonlinear(
         atol=1e-24,
         h_out=h_out,
     )
-    table = HermiteTable(sol.t, sol.y, sol.yp)
-    return AuxSolution(
+    aux = AuxSolution(
         route="nonlinear",
         t_start=float(t_start),
         t_end=float(t_end),
         hm=hm,
-        table=table,
+        table=HermiteTable(sol.t, sol.y, sol.yp),
         rhs_calls=sol.rhs_calls,
-        diagnostics=_scan_events(
-            sol.t,
-            sol.y[0] - 1.0,
-            "q2-zero",
-            refine=lambda tv: float(table(tv, component=0) - 1.0),
-        ),
         tail_int_omega=hm.int_omega_to_inf(t_start),
         b_constraint_scale=lam,
     )
+    aux.diagnostics = _q2_zero_events(aux)
+    return aux
 
 
 def compute_log_kappa(aux: AuxSolution, hm: painleve2.Painleve2Solution) -> AuxSolution:
@@ -365,13 +342,6 @@ class RIntegrals:
     i0: float
     i1: float
     i2: float
-
-
-def _fd5(values: np.ndarray, h: float) -> float:
-    """5-point centered first derivative from values at t + k h, k=-2..2."""
-    return float(
-        (values[0] - 8 * values[1] + 8 * values[3] - values[4]) / (12 * h)
-    )
 
 
 def params_from_state(
@@ -457,11 +427,9 @@ def reconstruct_params(
     if mode == "fd":
         stencil = t + h * np.arange(-2.0, 3.0)
         kwargs = dict(
-            q2_t=_fd5(np.array([aux.delta_at(s) for s in stencil]), h),
-            alpha_t=_fd5(np.array([aux.alpha_at(s) for s in stencil]), h),
-            kappa_t_over_kappa=_fd5(
-                np.array([aux.log_kappa_at(s) for s in stencil]), h
-            ),
+            q2_t=float(diff5(aux.delta_at(stencil), h)[2]),
+            alpha_t=float(diff5(aux.alpha_at(stencil), h)[2]),
+            kappa_t_over_kappa=float(diff5(aux.log_kappa_at(stencil), h)[2]),
         )
     elif mode != "ode":
         raise BadInterval(f"unknown reconstruction mode {mode!r}")
@@ -552,7 +520,7 @@ def eta_linearized_residual(aux, hm, t: float, h: float = 1e-3) -> float:
         )
         fvals.append(np.exp(acc / 3.0))
     f = np.array(fvals)
-    f_t = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
+    f_t = diff5(f, h)[2]
     f_ttt = (-f[0] + 2 * f[1] - 2 * f[3] + f[4]) / (2 * h**3)
     P = _P_value(aux, hm, t, h)
     Q = (2.0 / 3.0) * (
@@ -565,7 +533,7 @@ def q2eq3_residual(aux, hm, t: float, h: float = 1e-3) -> float:
     """Residual of the single second-order q2 equation at t (FD derivatives)."""
     q = np.array([aux.q2_at(t + k * h) for k in range(-2, 3)])
     q2 = q[2]
-    q2t = (q[0] - 8 * q[1] + 8 * q[3] - q[4]) / (12 * h)
+    q2t = diff5(q, h)[2]
     q2tt = (-q[0] + 16 * q[1] - 30 * q[2] + 16 * q[3] - q[4]) / (12 * h * h)
     u, ut, _ = hm.eval(t)
     lu2 = (ut / u) ** 2
@@ -589,7 +557,7 @@ def compatibility_residuals(
     stencil = [reconstruct_params(aux, hm, t + k * h, mode="fd") for k in range(-2, 3)]
     p = stencil[2]
     lhs = {
-        name: _fd5(np.array([getattr(s, name) for s in stencil]), h)
+        name: float(diff5(np.array([getattr(s, name) for s in stencil]), h)[2])
         for name in ("e1", "e2", "e3", "q0", "q1", "q2")
     }
     one = p.q2 * p.q2 - 1.0
@@ -616,22 +584,17 @@ def compatibility_residuals(
 
 def export_csv(aux: AuxSolution, path) -> None:
     """t,mu_plus,mu_minus,nu,q2,alpha,log_kappa rows at the output nodes."""
-    ts = aux.grid
-    q2 = aux.q2_nodes()
+    y = aux.table.y
+    if aux.route == "linear":
+        mu, lk = (y[0], y[1], y[2]), y[3]
+    else:
+        mu, lk = (np.full(len(aux.grid), np.nan),) * 3, y[2]
+    cols = (aux.grid, *mu, aux.q2_nodes(), aux.alpha_at(aux.grid), lk)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["t", "mu_plus", "mu_minus", "nu", "q2", "alpha", "log_kappa"])
-        for i, tv in enumerate(ts):
-            if aux.route == "linear":
-                mp_, mm_, nu_ = aux.table.y[0, i], aux.table.y[1, i], aux.table.y[2, i]
-                lk = aux.table.y[3, i]
-            else:
-                mp_ = mm_ = nu_ = float("nan")
-                lk = aux.table.y[2, i]
-            al = aux.alpha_at(tv)
-            wr.writerow(
-                [f"{v:.17g}" for v in (tv, mp_, mm_, nu_, q2[i], al, lk)]
-            )
+        for row in zip(*cols):
+            wr.writerow([f"{v:.17g}" for v in row])
 
 
 def export_diagnostics(aux: AuxSolution, path) -> None:

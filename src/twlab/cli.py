@@ -23,8 +23,6 @@ import numpy as np
 from . import __version__, asymptotics, auxsys, distribution, laxframe, oracles, painleve2
 from .errors import ParseError, TwlabError
 
-DEFAULT_THREADS = 1
-
 
 def _scipy_version() -> str:
     import scipy
@@ -160,13 +158,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TWLAB_THREADS", DEFAULT_THREADS)))
-    except ValueError:
-        return DEFAULT_THREADS
-
-
 class Manifest:
     def __init__(self, cfg: RunConfig, out_dir: str):
         self.out_dir = out_dir
@@ -179,7 +170,6 @@ class Manifest:
                 "scipy": _scipy_version(),
                 "python": sys.version.split()[0],
             },
-            "threads": _threads(),
             "artifacts": [],
             "results": {},
             "status": "ok",
@@ -249,10 +239,10 @@ def _cmd_tw_table(cfg, man):
     hm = _solve_hm(cfg)
     grid = parse_grid(cfg.t_grid)
     if cfg.beta == 2:
-        table = distribution.tabulate(hm, None, 2, grid, workers=_threads())
+        table = distribution.tabulate(hm, None, 2, grid)
     else:
         aux = _solve_aux(cfg, hm)
-        table = distribution.tabulate(hm, aux, 6, grid, workers=_threads())
+        table = distribution.tabulate(hm, aux, 6, grid)
     path = os.path.join(cfg.out, f"tw{cfg.beta}.csv")
     table.export_csv(path)
     man.add_artifact(path)
@@ -360,7 +350,6 @@ def _cmd_verify_pde(cfg, man):
     sub = laxframe.PsiField(
         x_ext=fld.x_ext[::8], t_ext=fld.t_ext[::8], x_int=fld.x_int[::8],
         t_int=fld.t_int[::8], w=fld.w[:, ::8, ::8], psi11=fld.psi11[::8, ::8],
-        log_scale=fld.log_scale[::8],
     )
     sub.export_csv(field_csv)
     man.add_artifact(field_csv)

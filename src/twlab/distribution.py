@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import auxsys, painleve2
+from . import auxsys, painleve2, specfun
 from .errors import BadInterval, OutOfRange, OutOfSupportedRange, QZeroCrossing
+from .rk import HermiteTable, diff5
 
 __all__ = [
     "DistTable",
@@ -38,28 +39,23 @@ __all__ = [
 SCALE_T = 3.0 ** (2.0 / 3.0)
 
 
-def log_F2(hm: painleve2.Painleve2Solution, t: float) -> float:
-    """log F2(t) = int_t^inf omega(s) ds, tail beyond the grid bounded by
-    the Airy decay of u."""
-    if t < hm.t_min:
-        raise OutOfRange(f"t={t} below solved range {hm.t_min}")
-    if t >= hm.t_max:
-        return 0.0
-    return hm.int_omega_to_inf(float(t))
+def log_F2(hm: painleve2.Painleve2Solution, t):
+    """log F2(t) = int_t^inf omega(s) ds, for a scalar or an array t; 0 from
+    the right end of the grid on, where the Airy decay of u bounds the tail."""
+    t = np.asarray(t, dtype=np.float64)
+    if (t < hm.t_min).any():
+        raise OutOfRange(f"t below solved range {hm.t_min}")
+    out = np.where(t >= hm.t_max, 0.0, hm.int_omega_to_inf(np.minimum(t, hm.t_max)))
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_F2(hm: painleve2.Painleve2Solution, t: float) -> float:
     return float(np.exp(log_F2(hm, t)))
 
 
-def _internal_t(t_external: float) -> float:
-    return SCALE_T * float(t_external)
-
-
-def log_F6(
-    hm: painleve2.Painleve2Solution, aux: auxsys.AuxSolution, t: float
-) -> float:
-    """log F6 at external argument t, from the smooth-integrand form.
+def log_F6(hm: painleve2.Painleve2Solution, aux: auxsys.AuxSolution, t):
+    """log F6 at external argument t (scalar or array), from the
+    smooth-integrand form.
 
     log F6 = log((1 - q2)/2) + (1/3) I_omega + (2/3) I_alpha - (1/3) I_one
     with I_x = int_{t_int}^inf of (omega, alpha, (u'/u)(1+q2)). The tails
@@ -68,22 +64,23 @@ def log_F6(
     """
     if aux.route != "linear":
         raise BadInterval("log_F6 needs the linear-route AuxSolution")
-    ti = _internal_t(t)
-    if ti > aux.t_start:
-        # saturated region: 1 - F6 is below u(t_start)^2 scale (~1e-13)
-        return 0.0
-    if ti < aux.t_end:
+    ti = SCALE_T * np.asarray(t, dtype=np.float64)
+    if (ti < aux.t_end).any():
         raise OutOfRange(
-            f"internal t={ti:.3f} outside aux range [{aux.t_end}, {aux.t_start}]"
+            f"internal t={np.min(ti):.3f} outside aux range "
+            f"[{aux.t_end}, {aux.t_start}]"
         )
-    q2 = float(aux.q2_at(ti))
-    j_om, j_al, j_one = aux.integrals_from_start(ti)
-    i_om = -float(j_om) + aux.tail_int_omega
-    i_al = -float(j_al)
-    i_one = -float(j_one)
+    # q2 and the three J channels of the trajectory, from one table lookup
+    y = aux.table(np.minimum(ti, aux.t_start))
+    q2 = (y[0] + y[1]) / (y[0] - y[1])
+    i_om = -y[4] + aux.tail_int_omega
+    i_al = -y[5]
+    i_one = -y[6]
     log_f = np.log((1.0 - q2) / 2.0) + i_om / 3.0 + (2.0 / 3.0) * i_al - i_one / 3.0
-    # roundoff in the saturated right tail would otherwise give F6 = 1 + ulp
-    return min(float(log_f), 0.0)
+    # right of t_start 1 - F6 is below the u(t_start)^2 scale (~1e-13), and
+    # roundoff in that saturated tail would otherwise give F6 = 1 + ulp
+    out = np.where(ti > aux.t_start, 0.0, np.minimum(log_f, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_F6(
@@ -103,7 +100,7 @@ def eval_F6_q2route(
     Raises QZeroCrossing when q2 vanishes inside [t_int, t_start]; use
     eval_F6 (same function, smooth integrands) there instead.
     """
-    ti = _internal_t(t)
+    ti = SCALE_T * float(t)
     if ti > aux.t_start:
         return 1.0
     if ti < aux.t_end:
@@ -114,19 +111,10 @@ def eval_F6_q2route(
                 f"q2 vanishes at internal t={tz:.6f} inside the integration range"
             )
     q2 = float(aux.q2_at(ti))
-    f = painleve2.fast_eval(hm)
-
-    def integrand(s):
-        u, ut, _ = f(s)
-        q2s = aux.q2_at(s)
-        return (ut / u) * (1.0 + q2s) / q2s
-
-    from .specfun import gauss_legendre
-
-    rule = gauss_legendre(n_quad, ti, aux.t_start)
-    i_two = float(
-        np.dot(rule.weights, np.array([integrand(s) for s in rule.nodes]))
-    )
+    rule = specfun.gauss_legendre(n_quad, ti, aux.t_start)
+    u, ut, _ = hm.eval(rule.nodes)
+    q2s = aux.q2_at(rule.nodes)
+    i_two = float(np.dot(rule.weights, (ut / u) * (1.0 + q2s) / q2s))
     j_om, _, _ = aux.integrals_from_start(ti)
     i_om = -float(j_om) + aux.tail_int_omega
     return float(
@@ -136,7 +124,7 @@ def eval_F6_q2route(
 
 @dataclass(eq=False)
 class DistTable:
-    """Tabulated CDF rows with provenance metadata."""
+    """Tabulated CDF rows on a uniform grid with provenance metadata."""
 
     beta: int
     t: np.ndarray
@@ -145,32 +133,20 @@ class DistTable:
     pdf: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._table = HermiteTable(self.t, [self.F], [self.pdf])
+
     def cdf(self, tq):
-        """Monotone cubic-ish interpolation of F (Hermite with pdf slopes)."""
-        tq = np.asarray(tq, dtype=np.float64)
-        scalar = tq.ndim == 0
-        tq = np.atleast_1d(tq)
-        out = np.empty_like(tq)
-        below = tq <= self.t[0]
-        above = tq >= self.t[-1]
-        out[below] = self.F[0]
-        out[above] = self.F[-1]
-        mid = ~(below | above)
-        if mid.any():
-            i = np.clip(np.searchsorted(self.t, tq[mid]) - 1, 0, len(self.t) - 2)
-            h = self.t[i + 1] - self.t[i]
-            s = (tq[mid] - self.t[i]) / h
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s * s * (3 - 2 * s)
-            h11 = s * s * (s - 1)
-            out[mid] = (
-                h00 * self.F[i]
-                + h10 * h * self.pdf[i]
-                + h01 * self.F[i + 1]
-                + h11 * h * self.pdf[i + 1]
-            )
-        return float(out[0]) if scalar else out
+        """F by cubic Hermite interpolation with the pdf column as slopes.
+
+        Beyond the table the CDF saturates: F[0] below it, F[-1] above.
+        Unlike the other tables it does not raise there, because the
+        distribution is used on unbounded data such as Monte Carlo samples.
+        """
+        lo, hi = self.t[0], self.t[-1]
+        if isinstance(tq, float) or np.ndim(tq) == 0:
+            return self._table(min(max(float(tq), lo), hi))[0]
+        return self._table(np.clip(tq, lo, hi))[0]
 
     def export_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -220,41 +196,9 @@ def table_from_values(beta: int, t: np.ndarray, F: np.ndarray) -> DistTable:
         t=t,
         F=F,
         logF=np.log(np.maximum(F, 1e-300)),
-        pdf=np.maximum(_diff5(F, h), 0.0),
+        pdf=np.maximum(diff5(F, h), 0.0),
         metadata={"beta": int(beta), "n": int(len(t)), "source": "external"},
     )
-
-
-def _diff5(y: np.ndarray, h: float) -> np.ndarray:
-    """5-point differentiation on a uniform grid, one-sided at the edges."""
-    d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    for i in (0, 1):
-        d[i] = (
-            -25 * y[i] + 48 * y[i + 1] - 36 * y[i + 2] + 16 * y[i + 3] - 3 * y[i + 4]
-        ) / (12 * h)
-    for i in (-1, -2):
-        d[i] = (
-            25 * y[i] - 48 * y[i - 1] + 36 * y[i - 2] - 16 * y[i - 3] + 3 * y[i - 4]
-        ) / (12 * h)
-    return d
-
-
-def _eval_chunked(fn, t_grid, workers):
-    if workers <= 1:
-        return np.array([fn(tv) for tv in t_grid])
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(len(t_grid)), workers)
-    out = np.empty(len(t_grid))
-
-    def work(idx):
-        for i in idx:
-            out[i] = fn(t_grid[i])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, chunks))
-    return out
 
 
 def tabulate(
@@ -262,10 +206,9 @@ def tabulate(
     aux: auxsys.AuxSolution | None,
     beta: int,
     t_grid: np.ndarray,
-    workers: int = 1,
 ) -> DistTable:
     """Table of (t, F, logF, pdf) on a uniform grid; pdf by 5-point
-    differentiation of F. Values are identical for any worker count."""
+    differentiation of F."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if len(t_grid) < 5:
         raise BadInterval("tabulate: need at least 5 grid points")
@@ -273,12 +216,12 @@ def tabulate(
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise BadInterval("tabulate: grid must be uniform")
     if beta == 2:
-        logF = _eval_chunked(lambda tv: log_F2(hm, tv), t_grid, workers)
+        logF = log_F2(hm, t_grid)
         prov = {"hm": _array_hash(hm.grid, hm.u)}
     elif beta == 6:
         if aux is None:
             raise BadInterval("tabulate: beta=6 needs an AuxSolution")
-        logF = _eval_chunked(lambda tv: log_F6(hm, aux, tv), t_grid, workers)
+        logF = log_F6(hm, aux, t_grid)
         prov = {
             "hm": _array_hash(hm.grid, hm.u),
             "aux": _array_hash(aux.table.t, aux.table.y),
@@ -286,14 +229,13 @@ def tabulate(
     else:
         raise BadInterval("tabulate: beta must be 2 or 6")
     F = np.exp(logF)
-    pdf = _diff5(F, float(steps[0]))
+    pdf = diff5(F, float(steps[0]))
     meta = {
         "beta": int(beta),
         "provenance": prov,
         "t_lo": float(t_grid[0]),
         "t_hi": float(t_grid[-1]),
         "n": int(len(t_grid)),
-        "tolerances": {"cdf_abs": 1e-8, "pdf_abs": 1e-5},
     }
     return DistTable(
         beta=int(beta), t=t_grid, F=F, logF=logF, pdf=np.maximum(pdf, 0.0),

@@ -10,13 +10,15 @@ rows at once with a vectorized fixed-substep Runge-Kutta pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import auxsys, painleve2
+from .distribution import SCALE_T
 from .errors import BadInterval, DegenerateGauge, MatchFailure
+from .rk import diff5
 
 __all__ = [
     "StokesData",
@@ -33,7 +35,6 @@ __all__ = [
 ]
 
 CBRT3 = 3.0 ** (1.0 / 3.0)
-SCALE_T = 3.0 ** (2.0 / 3.0)
 # criterion 6: the O(h^2) edge-PDE residual at stride 2 over stride 1
 RICHARDSON_WINDOW = (3.5, 4.5)
 
@@ -87,8 +88,7 @@ class PsiField:
 
     x_ext and t_ext are the distribution-side coordinates; the stored
     internal coordinates carry the 3^{1/3} / 3^{2/3} factors exactly once.
-    w holds the scaled column (2, nx, nt); log_scale is the per-row ledger
-    of any removed magnitude (zero in normal operation).
+    w holds the scaled column (2, nx, nt).
     """
 
     x_ext: np.ndarray
@@ -97,21 +97,20 @@ class PsiField:
     t_int: np.ndarray
     w: np.ndarray
     psi11: np.ndarray           # (nx, nt), complex
-    log_scale: np.ndarray = field(default=None)
 
     def max_imag_ratio(self) -> float:
         scale = np.max(np.abs(self.psi11))
         return float(np.max(np.abs(self.psi11.imag)) / scale)
 
     def export_csv(self, path) -> None:
-        """x,t,re_psi11,im_psi11,log_scale rows (external coordinates)."""
+        """x,t,re_psi11,im_psi11 rows (external coordinates)."""
         with open(path, "w", newline="") as fh:
-            fh.write("x,t,re_psi11,im_psi11,log_scale\n")
+            fh.write("x,t,re_psi11,im_psi11\n")
             for i, xv in enumerate(self.x_ext):
                 for j, tv in enumerate(self.t_ext):
                     fh.write(
                         f"{xv:.17g},{tv:.17g},{self.psi11[i, j].real:.17g},"
-                        f"{self.psi11[i, j].imag:.17g},{self.log_scale[j]:.17g}\n"
+                        f"{self.psi11[i, j].imag:.17g}\n"
                     )
 
 
@@ -168,8 +167,8 @@ def painleve_pair_residual(
     """|dB0/dx - dL0/dt - [L0, B0]| max-entry; vanishing is the Painleve
     II equation itself."""
     dB_dx = np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=complex)
-    Ls = [build_L0_B0(hm, x, t + k * h)[0] for k in range(-2, 3)]
-    dL_dt = (Ls[0] - 8 * Ls[1] + 8 * Ls[3] - Ls[4]) / (12 * h)
+    Ls = np.array([build_L0_B0(hm, x, t + k * h)[0] for k in range(-2, 3)])
+    dL_dt = diff5(Ls, h)[2]
     L0, B0 = build_L0_B0(hm, x, t)
     R = dB_dx - dL_dt - (L0 @ B0 - B0 @ L0)
     return float(np.max(np.abs(R)))
@@ -185,8 +184,8 @@ def zero_curvature_residual(
     """Zero-curvature residual of the second-kind pair along the solved
     trajectory, with d/dt by finite differences of reconstructed entries."""
     params = [auxsys.reconstruct_params(aux, hm, t + k * h) for k in range(-2, 3)]
-    Ls = [build_gauged_L_B(p, x)[0] for p in params]
-    dL_dt = (Ls[0] - 8 * Ls[1] + 8 * Ls[3] - Ls[4]) / (12 * h)
+    Ls = np.array([build_gauged_L_B(p, x)[0] for p in params])
+    dL_dt = diff5(Ls, h)[2]
     p = params[2]
     L, B = build_gauged_L_B(p, x)
     dB_dx = np.array(
@@ -344,7 +343,6 @@ class PsiRow:
     match_residual: float
     match_factor: float
     det_window: np.ndarray      # Wronskian-style dets of the short full-matrix run
-    log_scale: float = 0.0
 
 
 def solve_psi0_slab(
@@ -472,9 +470,9 @@ def psi11_field(
     inv[order] = np.arange(len(order))
     W = W[:, inv, :]
 
-    q2 = np.array([aux.q2_at(tv) for tv in ti])
-    al = np.array([aux.alpha_at(tv) for tv in ti])
-    kap = np.exp(np.array([aux.log_kappa_at(tv) for tv in ti]))
+    q2 = aux.q2_at(ti)
+    al = aux.alpha_at(ti)
+    kap = np.exp(aux.log_kappa_at(ti))
     uv, _, _ = hm.eval(ti)
     su = np.sqrt(np.atleast_1d(uv))
     X = xi[:, None]
@@ -486,7 +484,6 @@ def psi11_field(
         t_int=ti,
         w=W,
         psi11=psi11,
-        log_scale=np.zeros(len(ti)),
     )
 
 

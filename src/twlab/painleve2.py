@@ -19,12 +19,12 @@ from scipy.linalg import solve_banded
 
 from . import specfun
 from .errors import BadInterval, NewtonDivergence, OrderTooHigh, OutOfRange, UnknownSeries
+from .rk import HermiteTable, diff5
 
 __all__ = [
     "AsymptoticSeries",
     "Painleve2Solution",
     "solve_hastings_mcleod",
-    "eval",
     "eval_series",
     "series_term_magnitude",
     "export_csv",
@@ -142,24 +142,36 @@ def series_term_magnitude(kind: str, t: float, index: int) -> float:
 class Painleve2Solution:
     """Dense Hastings-McLeod table with cubic Hermite interpolation.
 
+    The table's rows are (u, u', omega_smooth, omega) with slopes
+    (u', t u + 2 u^3, u^2, u^2); grid, u, ut and omega are views of it.
     omega stores the combination u^4 + t u^2 - ut^2 exactly as built from
-    the table; _omega_smooth is the same function obtained by integrating
+    the table; omega_smooth is the same function obtained by integrating
     u^2 from the right end, which keeps full relative accuracy where the
     algebraic form suffers exponential cancellation (t >> 1). The two agree
     to ~4e-11 relative wherever omega is not exponentially small.
     """
 
-    grid: np.ndarray
-    u: np.ndarray
-    ut: np.ndarray
-    omega: np.ndarray
+    table: HermiteTable
     newton_iterations: int
     final_update: float
-    _omega_smooth: np.ndarray = field(repr=False, default=None)
-    _int_u2_right: np.ndarray = field(repr=False, default=None)   # int_t^tmax u^2
     _int_om_right: np.ndarray = field(repr=False, default=None)   # int_t^tmax omega
-    _tail_int_u2: float = 0.0      # int_tmax^inf u^2
     _tail_int_om: float = 0.0      # int_tmax^inf omega
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.table.t
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.table.nodes[:, 0, 0]
+
+    @property
+    def ut(self) -> np.ndarray:
+        return self.table.nodes[:, 0, 1]
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.table.nodes[:, 0, 3]
 
     @property
     def t_min(self) -> float:
@@ -171,96 +183,41 @@ class Painleve2Solution:
 
     @property
     def step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    def _locate(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        if t.size and (t.min() < self.t_min - 1e-12 or t.max() > self.t_max + 1e-12):
-            raise OutOfRange(
-                f"t outside solved interval [{self.t_min}, {self.t_max}]"
-            )
-        i = np.clip(
-            ((t - self.grid[0]) / self.step).astype(int), 0, len(self.grid) - 2
-        )
-        s = (t - self.grid[i]) / self.step
-        s = np.where(t == self.grid[i + 1], 1.0, s)  # exact at upper nodes
-        return i, s
+        return self.table.h
 
     def eval(self, t):
         """(u, ut, omega) by cubic Hermite interpolation."""
-        t = np.asarray(t, dtype=np.float64)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        i, s = self._locate(t)
-        h = self.step
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        u0, u1 = self.u[i], self.u[i + 1]
-        uu = h00 * u0 + h10 * h * self.ut[i] + h01 * u1 + h11 * h * self.ut[i + 1]
-        # derivative channel of ut is u'' = t u + 2 u^3, exact on nodes
-        d0 = self.grid[i] * u0 + 2 * u0**3
-        d1 = self.grid[i + 1] * u1 + 2 * u1**3
-        ut = h00 * self.ut[i] + h10 * h * d0 + h01 * self.ut[i + 1] + h11 * h * d1
-        om = (
-            h00 * self.omega[i]
-            + h10 * h * u0**2
-            + h01 * self.omega[i + 1]
-            + h11 * h * u1**2
-        )
-        if scalar:
-            return float(uu[0]), float(ut[0]), float(om[0])
-        return uu, ut, om
+        u, ut, _, om = self.table(t)
+        return u, ut, om
 
     def omega_smooth(self, t):
         """omega from the integral form (full relative accuracy at large t)."""
-        t = np.asarray(t, dtype=np.float64)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        i, s = self._locate(t)
+        return self.table(t)[2]
+
+    def int_omega_to_inf(self, t):
+        """int_t^inf omega ds (equals log F2(t)), for a scalar or an array t.
+
+        The part up to the next node is the exact integral of the
+        omega_smooth interpolant, with the Hermite basis antiderivatives
+        taken from s to 1.
+        """
+        i, s = self.table.locate(t)
         h = self.step
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        om = (
-            h00 * self._omega_smooth[i]
-            + h10 * h * self.u[i] ** 2
-            + h01 * self._omega_smooth[i + 1]
-            + h11 * h * self.u[i + 1] ** 2
-        )
-        return float(om[0]) if scalar else om
+        om = self.table.nodes[:, :, 2]       # omega_smooth and its slope u^2
+        y0, y1 = om[i, 0], om[i + 1, 0]
+        d0, d1 = om[i, 1] * h, om[i + 1, 1] * h
 
-    def int_u2_to_inf(self, t: float) -> float:
-        """int_t^inf u^2 ds (equals -omega(t))."""
-        return self._partial_right(self._int_u2_right, self.u**2,
-                                   2 * self.u * self.ut, t) + self._tail_int_u2
-
-    def int_omega_to_inf(self, t: float) -> float:
-        """int_t^inf omega ds (equals log F2(t))."""
-        return self._partial_right(self._int_om_right, self._omega_smooth,
-                                   self.u**2, t) + self._tail_int_om
-
-    def _partial_right(self, cum, vals, derivs, t):
-        """int_t^tmax of the Hermite interpolant whose nodal data is (vals, derivs)."""
-        i, s = self._locate(float(t))
-        i = int(i)
-        s = float(s)
-        h = self.step
-        # exact integral of the cubic on [t, node_{i+1}]
-        y0, y1 = vals[i], vals[i + 1]
-        d0, d1 = derivs[i] * h, derivs[i + 1] * h
-        # Hermite basis antiderivatives evaluated from s to 1, scaled by h
         def anti(x):
-            H00 = x - x**3 + x**4 / 2
-            H10 = x**2 / 2 - 2 * x**3 / 3 + x**4 / 4
-            H01 = x**3 - x**4 / 2
-            H11 = x**4 / 4 - x**3 / 3
+            x3 = x * x * x
+            x4 = x3 * x
+            H00 = x - x3 + x4 / 2
+            H10 = x * x / 2 - 2 * x3 / 3 + x4 / 4
+            H01 = x3 - x4 / 2
+            H11 = x4 / 4 - x3 / 3
             return H00 * y0 + H10 * d0 + H01 * y1 + H11 * d1
 
         piece = h * (anti(1.0) - anti(s))
-        return float(piece + cum[i + 1])
+        return piece + self._int_om_right[i + 1] + self._tail_int_om
 
 
 def solve_hastings_mcleod(
@@ -330,18 +287,10 @@ def solve_hastings_mcleod(
         raise NewtonDivergence(
             f"no contraction after {max_iter} iterations (update {last_update:g})"
         )
+    # the table is built at the end: release the work arrays before it
+    del ai_all, w, left, R, fp, ab, du, un
 
-    ut = np.empty_like(u)
-    ut[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
-    for i in (0, 1):
-        ut[i] = (
-            -25 * u[i] + 48 * u[i + 1] - 36 * u[i + 2] + 16 * u[i + 3] - 3 * u[i + 4]
-        ) / (12 * h)
-    for i in (-1, -2):
-        ut[i] = (
-            25 * u[i] - 48 * u[i - 1] + 36 * u[i - 2] - 16 * u[i - 3] + 3 * u[i - 4]
-        ) / (12 * h)
-    ut = _denoise_slope(t, u, ut, h)
+    ut = _denoise_slope(t, u, diff5(u, h), h)
     omega = u**4 + t * u**2 - ut**2
 
     # cumulative integrals from the right (corrected trapezoid, O(h^4))
@@ -364,16 +313,12 @@ def solve_hastings_mcleod(
     )
 
     return Painleve2Solution(
-        grid=t,
-        u=u,
-        ut=ut,
-        omega=omega,
+        table=HermiteTable(
+            t, [u, ut, omega_smooth, omega], [ut, t * u + 2 * u**3, f2, f2]
+        ),
         newton_iterations=it,
         final_update=last_update,
-        _omega_smooth=omega_smooth,
-        _int_u2_right=int_u2_right,
         _int_om_right=int_om_right,
-        _tail_int_u2=float(tail_u2),
         _tail_int_om=float(tail_om),
     )
 
@@ -400,45 +345,13 @@ def _denoise_slope(t, u, ut, h):
     return antider + (cum[k + half + 1] - cum[k - half]) / (2 * half + 1)
 
 
-def eval(solution: Painleve2Solution, t):
-    """(u, ut, omega) at t by cubic Hermite interpolation."""
-    return solution.eval(t)
-
-
 def fast_eval(solution: Painleve2Solution):
-    """Evaluator closure for tight ODE right-hand-side loops.
-
-    Returns f(t) -> (u, ut, omega_smooth): plain float arithmetic for a
-    scalar t, elementwise for an array of t.
-    """
-    tg = solution.grid
-    ug = solution.u
-    utg = solution.ut
-    omg = solution._omega_smooth
-    t0 = float(tg[0])
-    h = float(tg[1] - tg[0])
-    nmax = len(tg) - 2
+    """Evaluator closure for ODE right-hand sides: f(t) -> (u, ut,
+    omega_smooth), floats for a scalar t, arrays for an array of t."""
+    table = solution.table
 
     def f(t):
-        if np.ndim(t):
-            i = np.clip(((t - t0) / h).astype(int), 0, nmax)
-        else:
-            t = float(t)
-            i = int((t - t0) / h)
-            i = 0 if i < 0 else (nmax if i > nmax else i)
-        s = (t - tg[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        u0 = ug[i]
-        u1 = ug[i + 1]
-        u = h00 * u0 + h10 * utg[i] * h + h01 * u1 + h11 * utg[i + 1] * h
-        d0 = (tg[i] * u0 + 2 * u0**3) * h
-        d1 = (tg[i + 1] * u1 + 2 * u1**3) * h
-        ut = h00 * utg[i] + h10 * d0 + h01 * utg[i + 1] + h11 * d1
-        om = h00 * omg[i] + h10 * u0 * u0 * h + h01 * omg[i + 1] + h11 * u1 * u1 * h
-        return u, ut, om
+        return table(t)[:3]
 
     return f
 

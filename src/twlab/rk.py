@@ -1,12 +1,15 @@
-"""Adaptive float64 integration sampled onto a uniform output grid.
+"""The shared numerical kernels: ODE integration, table lookup, differences.
 
 solve_rk runs scipy's DOP853, the explicit 8(5,3) Runge-Kutta pair of
 Dormand and Prince with its 7th-order dense output (Hairer, Norsett and
 Wanner, Solving ODEs I, sec. II.10), in float64. It samples the dense
 output at uniformly spaced nodes and evaluates the right-hand side there
-in one vectorized call; the nodes with their derivatives feed a cubic
-Hermite table, whose interpolation error is ~h_out^4 whatever steps the
-integrator took.
+in one vectorized call.
+
+HermiteTable is the one cubic Hermite interpolant every table uses (the
+Hastings-McLeod table, the auxiliary trajectory, the CDF table): node
+values and slopes on a uniform grid, error ~h^4. diff5 is the one 5-point
+first-derivative stencil.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import StepFailure
+from .errors import BadInterval, OutOfRange, StepFailure
 
 # Step cap: with uncapped steps the nonlinear auxiliary route drifts up to
 # ~1e-9 from the linear one (criterion 4); capped, ~2e-12.
@@ -34,42 +37,105 @@ class RkSolution:
     yp: np.ndarray          # RHS at the nodes
     rhs_calls: int          # RHS calls made by the integrator's steps
 
-    def hermite(self):
-        return HermiteTable(self.t, self.y, self.yp)
+
+def _basis(s, h):
+    """Cubic Hermite weights of (y_i, y'_i, y_{i+1}, y'_{i+1}) at s in [0, 1]."""
+    r = 1.0 - s
+    return (
+        (1.0 + 2.0 * s) * r * r,
+        s * r * r * h,
+        s * s * (3.0 - 2.0 * s),
+        s * s * (s - 1.0) * h,
+    )
 
 
 class HermiteTable:
-    """Piecewise-cubic Hermite evaluation from (t, y, y') node data."""
+    """Piecewise-cubic Hermite interpolation of node values and slopes.
+
+    y and yp have shape (rows, n), one row per channel, on a uniform grid
+    t, ascending or descending. The node data is kept node-major in
+    `nodes`, shape (n, 2, rows), so that a scalar lookup reads one
+    contiguous block. A scalar t gives one value per row, an array of t
+    gives shape (rows, len(t)); both do the same float operations in the
+    same order and agree bitwise. A t more than 1e-12 outside the grid
+    raises OutOfRange.
+    """
 
     def __init__(self, t: np.ndarray, y: np.ndarray, yp: np.ndarray):
-        order = np.argsort(t)
-        self.t = np.asarray(t, dtype=np.float64)[order]
-        self.y = np.asarray(y, dtype=np.float64)[:, order]
-        self.yp = np.asarray(yp, dtype=np.float64)[:, order]
+        # filled row by row from views, so that building a large table
+        # allocates little beyond the table itself
+        t = np.asarray(t, dtype=np.float64)
+        step = 1 if t[-1] > t[0] else -1
+        self.t = t[::step].copy()
+        self.nodes = np.empty((len(t), 2, len(y)))
+        for r, (v, p) in enumerate(zip(y, yp)):
+            self.nodes[:, 0, r] = v[::step]
+            self.nodes[:, 1, r] = p[::step]
+        self.h = float(self.t[1] - self.t[0])
+        steps = np.diff(self.t)
+        if steps.max() - steps.min() > 1e-9 * self.h:
+            raise BadInterval("HermiteTable: grid must be uniform")
+        self._t0 = float(self.t[0])
+        self._lo = self._t0 - 1e-12
+        self._hi = float(self.t[-1]) + 1e-12
+        self._imax = len(self.t) - 2
 
-    def __call__(self, tq, component=None):
+    @property
+    def y(self) -> np.ndarray:
+        """Node values, shape (rows, n): a view of `nodes`."""
+        return self.nodes[:, 0].T
+
+    def locate(self, tq):
+        """Cell index i and local coordinate s of tq (scalar or array).
+
+        s is exactly 1 at the upper node of a cell, so that node values
+        come back exactly.
+        """
+        if isinstance(tq, float) or np.ndim(tq) == 0:
+            tq = float(tq)
+            if not self._lo <= tq <= self._hi:
+                raise OutOfRange(f"t={tq} outside table [{self.t[0]}, {self.t[-1]}]")
+            i = min(max(int((tq - self._t0) / self.h), 0), self._imax)
+            ta, tb = self.t[i:i + 2].tolist()
+            return i, (1.0 if tq == tb else (tq - ta) / self.h)
         tq = np.asarray(tq, dtype=np.float64)
-        scalar = tq.ndim == 0
-        tq = np.atleast_1d(tq)
-        i = np.clip(np.searchsorted(self.t, tq) - 1, 0, len(self.t) - 2)
-        h = self.t[i + 1] - self.t[i]
-        s = (tq - self.t[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        rows = list(range(self.y.shape[0])) if component is None else [component]
-        out = np.empty((len(rows), len(tq)))
-        for j, r in enumerate(rows):
-            out[j] = (
-                h00 * self.y[r, i]
-                + h10 * h * self.yp[r, i]
-                + h01 * self.y[r, i + 1]
-                + h11 * h * self.yp[r, i + 1]
-            )
-        if component is not None:
-            return float(out[0, 0]) if scalar else out[0]
-        return out[:, 0] if scalar else out
+        if not ((tq >= self._lo) & (tq <= self._hi)).all():
+            raise OutOfRange(f"t outside table [{self.t[0]}, {self.t[-1]}]")
+        i = np.clip(((tq - self._t0) / self.h).astype(int), 0, self._imax)
+        s = np.where(tq == self.t[i + 1], 1.0, (tq - self.t[i]) / self.h)
+        return i, s
+
+    def __call__(self, tq):
+        i, s = self.locate(tq)
+        b00, b10, b01, b11 = _basis(s, self.h)
+        if isinstance(i, int):
+            # the same operations on floats, far cheaper than on short arrays
+            (y0, p0), (y1, p1) = self.nodes[i:i + 2].tolist()
+            return [b00 * a + b10 * b + b01 * c + b11 * d
+                    for a, b, c, d in zip(y0, p0, y1, p1)]
+        y0, p0 = self.nodes[i].transpose(1, 2, 0)
+        y1, p1 = self.nodes[i + 1].transpose(1, 2, 0)
+        return b00 * y0 + b10 * p0 + b01 * y1 + b11 * p1
+
+
+def diff5(y: np.ndarray, h: float) -> np.ndarray:
+    """5-point first derivative along axis 0 of samples at uniform spacing h.
+
+    Centered in the interior, one-sided at the two points of each end
+    (which needs six samples: with exactly five, the second and fourth
+    are NaN and [2] is the centered derivative at the middle sample).
+    """
+    d = np.full_like(y, np.nan)
+    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    for i in (0, 1)[: len(y) - 4]:
+        d[i] = (
+            -25 * y[i] + 48 * y[i + 1] - 36 * y[i + 2] + 16 * y[i + 3] - 3 * y[i + 4]
+        ) / (12 * h)
+    for i in (-1, -2)[: len(y) - 4]:
+        d[i] = (
+            25 * y[i] - 48 * y[i - 1] + 36 * y[i - 2] - 16 * y[i - 3] + 3 * y[i - 4]
+        ) / (12 * h)
+    return d
 
 
 def solve_rk(

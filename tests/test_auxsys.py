@@ -187,6 +187,10 @@ def test_exports(aux_lin, tmp_path):
     auxsys.export_csv(aux_lin, csv_path)
     head = open(csv_path).readline().strip()
     assert head == "t,mu_plus,mu_minus,nu,q2,alpha,log_kappa"
+    # the alpha column is one array call; rows equal the scalar calls
+    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    for i in (0, 1234, 5000, len(rows) - 1):
+        assert rows[i, 5] == aux_lin.alpha_at(rows[i, 0])
     diag_path = tmp_path / "aux.json"
     auxsys.export_diagnostics(aux_lin, diag_path)
     payload = json.load(open(diag_path))

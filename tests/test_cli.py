@@ -180,13 +180,6 @@ def test_verify_pde_gate_uses_richardson_window():
     assert not cli.pde_gates_ok(r1, 3.2 * r1, rb, 1.0 / 16.0)
 
 
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("TWLAB_THREADS", "4")
-    assert cli._threads() == 4
-    monkeypatch.setenv("TWLAB_THREADS", "bogus")
-    assert cli._threads() == 1
-
-
 def test_verify_identities_run(tmp_path):
     rc = cli.main(["verify-identities", "--out", str(tmp_path)])
     assert rc == 0
@@ -195,19 +188,6 @@ def test_verify_identities_run(tmp_path):
     assert rep["trajectory"]["i0"] <= 1e-8
     assert max(rep["compatibility"].values()) <= 1e-6
     assert rep["zero_curvature_at_t_minus4"] <= 1e-6
-
-
-def test_tw_table_workers_deterministic(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path,
-        {"command": "tw-table", "beta": 2, "t_grid": "-3:2:0.5", "hm": {"n": 4001}},
-    )
-    cli.main(["tw-table", "--config", str(cfg), "--out", str(tmp_path / "s1")])
-    monkeypatch.setenv("TWLAB_THREADS", "3")
-    cli.main(["tw-table", "--config", str(cfg), "--out", str(tmp_path / "s3")])
-    a = open(tmp_path / "s1" / "tw2.csv", "rb").read()
-    b = open(tmp_path / "s3" / "tw2.csv", "rb").read()
-    assert a == b
 
 
 def test_spec_style_flag_forms(tmp_path):

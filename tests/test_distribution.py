@@ -9,6 +9,11 @@ SC = distribution.SCALE_T
 
 def test_f2_saturates_right(hm):
     assert abs(distribution.eval_F2(hm, 8.0) - 1.0) < 1e-10
+    # an array gives the scalar calls' values, 0 from the grid's end on
+    ts = np.array([-4.0, 8.0, hm.t_max - 1e-3, hm.t_max, hm.t_max + 1.0])
+    f2 = distribution.log_F2(hm, ts)
+    assert np.array_equal(f2, [distribution.log_F2(hm, t) for t in ts])
+    assert f2[-1] == f2[-2] == 0.0
 
 
 def test_f2_against_determinant_oracle(hm):
@@ -37,9 +42,12 @@ def test_f6_saturates_right(hm, aux_lin):
 
 
 def test_log_f6_never_positive(hm, aux_lin):
-    # in the saturated right tail roundoff once left log F6 at up to +1.6e-16
-    ts = np.linspace(2.5, 3.5, 201)
-    assert max(distribution.log_F6(hm, aux_lin, t) for t in ts) <= 0.0
+    # in the saturated right tail roundoff once left log F6 at up to +1.6e-16;
+    # an array gives the scalar calls' values, beyond t_start too
+    ts = np.concatenate([np.linspace(2.5, 3.5, 201), [-4.5, 0.0, 13.0 / SC]])
+    f6 = distribution.log_F6(hm, aux_lin, ts)
+    assert np.array_equal(f6, [distribution.log_F6(hm, aux_lin, t) for t in ts])
+    assert f6.max() <= 0.0
 
 
 def test_f6_monotone_on_internal_window(hm, aux_lin):
@@ -97,6 +105,11 @@ def test_tabulate_and_pdf(hm, aux_lin):
     assert abs(integral - (table.F[-1] - table.F[0])) < 1e-4
     assert table.metadata["provenance"]["hm"]
     assert table.metadata["provenance"]["aux"]
+    # the CDF saturates beyond the table instead of raising
+    assert table.cdf(-50.0) == table.F[0] and table.cdf(50.0) == table.F[-1]
+    beyond = table.cdf(np.array([-50.0, grid[0] - 1e-9, grid[-1] + 1e-9, 50.0]))
+    assert np.array_equal(beyond, table.F[[0, 0, -1, -1]])
+    assert np.array_equal(table.cdf(grid), table.F)
 
 
 def test_tabulate_grid_doubling(hm):

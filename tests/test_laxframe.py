@@ -204,5 +204,5 @@ def test_field_csv_export(hm, aux_lin, tmp_path):
     path = tmp_path / "field.csv"
     fld.export_csv(path)
     lines = open(path).read().strip().split("\n")
-    assert lines[0] == "x,t,re_psi11,im_psi11,log_scale"
+    assert lines[0] == "x,t,re_psi11,im_psi11"
     assert len(lines) == 1 + 3 * 2

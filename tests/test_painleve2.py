@@ -91,8 +91,14 @@ def test_monotone_left_region(hm):
 
 
 def test_eval_out_of_range(hm):
-    with pytest.raises(OutOfRange):
-        hm.eval(hm.t_max + 1.0)
+    f = painleve2.fast_eval(hm)
+    for t in (hm.t_max + 1.0, hm.t_max + 1e-9, hm.t_min - 1e-9):
+        with pytest.raises(OutOfRange):
+            hm.eval(t)
+        with pytest.raises(OutOfRange):
+            f(t)
+        with pytest.raises(OutOfRange):
+            f(np.array([0.0, t]))
 
 
 def test_grid_doubling_oracle(hm):
@@ -180,13 +186,14 @@ def test_series_exact_coefficient_table():
 
 def test_fast_eval_matches_eval(hm):
     f = painleve2.fast_eval(hm)
-    for t in (-11.3, -4.56, 0.123, 7.89):
-        u, ut, _ = hm.eval(t)
-        fu, fut, fom = f(t)
-        om = hm.omega_smooth(t)
-        assert abs(fu - u) <= 1e-14 * max(1.0, abs(u))
-        assert abs(fut - ut) <= 1e-14 * max(1.0, abs(ut))
-        assert abs(fom - om) <= 1e-14 * max(1.0, abs(om))
+    ts = np.array([-11.3, -4.56, 0.123, 7.89, hm.t_min, hm.grid[777], hm.t_max])
+    fu, fut, fom = f(ts)
+    u, ut, _ = hm.eval(ts)
+    assert np.array_equal(fu, u) and np.array_equal(fut, ut)
+    assert np.array_equal(fom, hm.omega_smooth(ts))
+    for k, t in enumerate(ts):
+        assert tuple(f(t)) == (fu[k], fut[k], fom[k])
+        assert hm.eval(t)[:2] == (u[k], ut[k])
 
 
 def test_csv_export(hm, tmp_path):
