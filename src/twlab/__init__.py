@@ -9,7 +9,7 @@ determinant at beta=2 and tridiagonal-ensemble Monte Carlo at any beta).
 
 __version__ = "0.1.0"
 
-from . import asymptotics, auxsys, cli, distribution, laxframe, oracles, painleve2, specfun
+from . import asymptotics, auxsys, distribution, laxframe, oracles, painleve2, specfun
 from .asymptotics import TailModel, eval_c0, eval_tail_logF, extract_constant
 from .auxsys import (
     AuxSolution,

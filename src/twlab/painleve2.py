@@ -305,11 +305,11 @@ def solve_hastings_mcleod(
         f2[:-1] - f2[1:]
     ) / 12
     int_om_right = np.concatenate([np.cumsum(seg_om[::-1])[::-1], [0.0]])
-    tail_om = -specfun.integrate_to_infinity(
-        lambda s: (s - t_max) * specfun.airy_grid(np.minimum(s, 30.0))[0] ** 2,
-        t_max,
-        0.5,
-        rel_tol=1e-13,
+    # Airy product integral (DLMF 9.11(iv)): int_x^inf (s - x) Ai(s)^2 ds
+    # = (2/3)(x^2 Ai^2 - x Ai'^2) - Ai Ai'/3 at x = t_max
+    tail_om = -(
+        2.0 / 3.0 * (t_max**2 * av.ai**2 - t_max * av.ai_prime**2)
+        - av.ai * av.ai_prime / 3.0
     )
 
     return Painleve2Solution(

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -207,3 +211,15 @@ def test_tails_compare_beta6_shallow(tmp_path):
     rep = json.load(open(tmp_path / "tails_beta6.json"))
     assert rep["beta"] == 6
     assert np.isfinite(rep["c0_extracted"]) and np.isfinite(rep["drift"])
+
+
+def test_module_run_without_runtime_warning():
+    # `python -m twlab.cli` must not find twlab.cli already imported by the package
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "twlab.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

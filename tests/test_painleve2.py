@@ -119,6 +119,13 @@ def test_widening_invariance(hm):
         assert abs(hm.eval(t)[0] - wide.eval(t)[0]) < 1e-10
 
 
+def test_omega_tail_at_t_max():
+    # int_6^inf omega = -int_6^inf (s - 6) Ai(s)^2 ds, frozen from 40-digit mpmath
+    sol = painleve2.solve_hastings_mcleod(t_min=-10.0, t_max=6.0, n=4001)
+    exact = -3.8172326590094596424e-12
+    assert abs(sol.int_omega_to_inf(6.0) - exact) <= 1e-12 * abs(exact)
+
+
 def test_preconditions():
     with pytest.raises(BadInterval):
         painleve2.solve_hastings_mcleod(t_min=-9.0)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,19 +52,6 @@ def test_airy_against_maclaurin_oracle():
         assert abs(specfun.airy(t).ai - oracle(t)) < 1e-12
 
 
-def test_airy_crossover_consistency():
-    s, a = specfun.airy_branch_values(5.0)
-    assert abs(s.ai - a.ai) < 1e-11
-    assert abs(s.ai_prime - a.ai_prime) < 1e-11
-    s, a = specfun.airy_branch_values(-8.0)
-    assert abs(s.ai - a.ai) < 1e-11
-    # On the oscillatory side at t=-5 the asymptotic expansion floors at
-    # its optimal-truncation error ~1e-8; no arithmetic can push the
-    # divergent series below that, so the branch agreement is bounded there.
-    s, a = specfun.airy_branch_values(-5.0)
-    assert abs(s.ai - a.ai) < 3e-8
-
-
 def test_airy_domain_error():
     with pytest.raises(DomainError):
         specfun.airy(31.0)
@@ -70,63 +59,43 @@ def test_airy_domain_error():
         specfun.airy(-30.5)
 
 
-def _airy_asym_loop(t):
-    """Point-by-point asymptotic Ai, Ai' at optimal truncation: the scalar
-    loop the vectorized branches of specfun replaced, kept as reference."""
-    U, V = specfun._U, specfun._V
-    if t > 0:
-        z = (2.0 / 3.0) * t**1.5
-        s = sp = 0.0
-        prev, sgn, zk = np.inf, 1.0, 1.0
-        for k in range(len(U)):
-            term = U[k] / zk
-            if abs(term) > prev:
-                break
-            s += sgn * term
-            sp += sgn * V[k] / zk
-            prev, sgn, zk = abs(term), -sgn, zk * z
-        e = np.exp(-z) / (2 * np.sqrt(np.pi))
-        return e / t**0.25 * s, -(t**0.25) * e * sp
-    x = -t
-    z = (2.0 / 3.0) * x**1.5
-    P = Q = Pp = Qp = 0.0
-    prev, sgn = np.inf, 1.0
-    for k in range(len(U) // 2 - 1):
-        e_t = U[2 * k] / z ** (2 * k)
-        o_t = U[2 * k + 1] / z ** (2 * k + 1)
-        if max(e_t, o_t) > prev:
-            break
-        P += sgn * e_t
-        Q += sgn * o_t
-        Pp += sgn * V[2 * k] / z ** (2 * k)
-        Qp += sgn * V[2 * k + 1] / z ** (2 * k + 1)
-        prev, sgn = max(e_t, o_t), -sgn
-    c, s = np.cos(z - np.pi / 4), np.sin(z - np.pi / 4)
-    return (c * P + s * Q) / (np.sqrt(np.pi) * x**0.25), (
-        x**0.25 / np.sqrt(np.pi) * (s * Pp - c * Qp)
-    )
+# 40-digit mpmath Ai(t), Ai'(t), frozen to 20 significant digits
+AIRY_TABLE = [
+    (-30.0, -8.7968188456842162833e-2, 1.2286206026374851347),
+    (-20.0, -1.7640612707798468959e-1, 8.928628567364712384e-1),
+    (-7.5, 3.2177571638064787527e-1, 3.1880950669855459621e-1),
+    (-5.0, 3.5076100902411431979e-1, 3.2719281855444313679e-1),
+    (-2.0, 2.2740742820168557599e-1, 6.1825902074169104141e-1),
+    (0.0, 3.5502805388781723926e-1, -2.5881940379280679841e-1),
+    (2.0, 3.4924130423274379135e-2, -5.3090384433653631704e-2),
+    (5.0, 1.0834442813607441735e-4, -2.47413890868462476e-4),
+    (6.0, 9.9476943602528895702e-6, -2.4765200397034954754e-5),
+    (8.0, 4.6922076160992316256e-8, -1.3414392979067865743e-7),
+    (10.0, 1.1047532552898685934e-10, -3.5206336767389236366e-10),
+    (13.0, 3.981776078833335363e-15, -1.4432080573972626044e-14),
+    (20.0, 1.6916728686705403136e-27, -7.5863916257483549605e-27),
+    (30.0, 3.2082175915504955711e-49, -1.7598765814327259821e-48),
+]
 
 
-ASYMPTOTIC_TS = np.concatenate([np.linspace(-30.0, -7.5, 901), np.linspace(6.0, 30.0, 961)])
+def test_airy_against_mpmath_table():
+    for t, ai, aip in AIRY_TABLE:
+        v = specfun.airy(t)
+        assert abs(v.ai - ai) <= 1e-13 * abs(ai), t
+        assert abs(v.ai_prime - aip) <= 1e-13 * abs(aip), t
 
 
-def test_airy_grid_asymptotic_branches_match_loop():
-    # the asymptotic branches sum over all points at once; each point must
-    # stop at its own optimal truncation, as the point-by-point loop does
-    from scipy.special import airy as scipy_airy
-
-    ts = ASYMPTOTIC_TS
-    ai, aip = specfun.airy_grid(ts)
-    loop = np.array([_airy_asym_loop(float(t)) for t in ts])
-    assert np.max(np.abs(ai - loop[:, 0])) <= 1e-13
-    assert np.max(np.abs(aip - loop[:, 1])) <= 1e-13
-    sai, saip, _, _ = scipy_airy(ts)
-    assert np.max(np.abs(ai - sai)) <= 1e-13
-    assert np.max(np.abs(aip - saip)) <= 1e-13
+def test_sources_use_no_extended_precision():
+    # results must not depend on the platform's long double
+    src = pathlib.Path(specfun.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for word in ("longdouble", "float128", "clongdouble"):
+            assert word not in text, f"{path.name} uses {word}"
 
 
 def test_airy_grid_matches_scalar():
-    ts = np.concatenate([[-9.5, -5.0, 0.0, 3.0, 7.0], ASYMPTOTIC_TS])
+    ts = np.concatenate([[-9.5, -5.0, 0.0, 3.0, 7.0], np.linspace(-30.0, 30.0, 601)])
     ai, aip = specfun.airy_grid(ts)
     for i, t in enumerate(ts):
         v = specfun.airy(float(t))
@@ -168,6 +137,14 @@ def test_gauss_legendre_preconditions():
         specfun.gauss_legendre(1, 0.0, 1.0)
     with pytest.raises(BadInterval):
         specfun.gauss_legendre(4, 1.0, 1.0)
+
+
+def test_gauss_legendre_m120_outermost_against_mpmath():
+    # the Fredholm oracle's rule; numpy's leggauss misses the weight by 1.1e-11
+    rule = specfun.gauss_legendre(120, -1.0, 1.0)
+    node, weight = 0.9998008656589589205718347, 0.0005110260636946121179729661
+    assert abs(rule.nodes[-1] - node) <= 1e-15
+    assert abs(rule.weights[-1] - weight) <= 1e-12 * weight
 
 
 def test_integrate_to_infinity_exponential():
