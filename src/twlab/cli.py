@@ -338,7 +338,6 @@ def _cmd_verify_pde(cfg, man):
         "richardson_ratio": r2 / r1,
         "negative_control_residual": rb,
         "inflation": rb / r1,
-        "imag_ratio": fld.max_imag_ratio(),
         "grid_step": step,
     }
     path = os.path.join(cfg.out, "pde_report.json")

@@ -231,9 +231,9 @@ def solve_hastings_mcleod(
 
     Numerov discretization (O(h^4)) of u'' = t u + 2 u^3 with boundary data
     u(t_max) = Ai(t_max) and u(t_min) from the 6-term t -> -inf series;
-    damped Newton with a tridiagonal Jacobian. The initial iterate is a
-    logistic blend of the two asymptotic profiles centered at t = -1,
-    which keeps Newton inside the Hastings-McLeod basin.
+    damped Newton with a tridiagonal Jacobian. The initial iterate is the
+    left profile sqrt(-t/2), switched off by a logistic step centered at
+    t = -1, which keeps Newton inside the Hastings-McLeod basin.
 
     Grid-quality note: the stored midpoint ODE residual scales like
     u'''' h^2 / 24, so the 1e-8 residual target needs h <= ~5e-4
@@ -246,10 +246,8 @@ def solve_hastings_mcleod(
     t = np.linspace(t_min, t_max, n)
     h = t[1] - t[0]
 
-    ai_all, _ = specfun.airy_grid(np.clip(t, -8.0, t_max))
     w = 1.0 / (1.0 + np.exp((t + 1.0) / 0.8))
-    left = np.where(t < 0, np.sqrt(np.maximum(-t, 1e-12) / 2), 0.0)
-    u = w * left + (1 - w) * ai_all
+    u = w * np.sqrt(np.maximum(-t, 0.0) / 2)
     u_series6 = eval_series("u", t_min, 6)
     u[0] = u_series6
     u[-1] = specfun.airy(t_max).ai
@@ -288,7 +286,7 @@ def solve_hastings_mcleod(
             f"no contraction after {max_iter} iterations (update {last_update:g})"
         )
     # the table is built at the end: release the work arrays before it
-    del ai_all, w, left, R, fp, ab, du, un
+    del w, R, fp, ab, du, un
 
     ut = _denoise_slope(t, u, diff5(u, h), h)
     omega = u**4 + t * u**2 - ut**2

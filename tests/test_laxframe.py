@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from twlab import auxsys, distribution, laxframe
 from twlab.errors import BadInterval, DegenerateGauge, MatchFailure
@@ -144,6 +145,24 @@ def test_wkb_column_structure(hm, aux_lin):
         assert abs(a - b) < 0.3 * abs(a)
 
 
+def test_sweep_against_radau(hm):
+    # scipy's implicit Radau on the same scaled-column system, from the same
+    # series start, is an integrator independent of the Magnus sweep
+    x_nodes = np.array([4.33, 0.0, -4.33])
+    for t in (-10.4, -2.0, 2.08):
+        u, ut, _ = hm.eval(t)
+        w0 = laxframe._series_w_init(15.0, t, u, ut, hm.omega_smooth(t))
+
+        def jac(x, w):
+            return np.array([[x * x - t - u * u, x * u - ut], [x * u + ut, u * u]])
+
+        ref = solve_ivp(lambda x, w: jac(x, w) @ w, (15.0, x_nodes[-1]), w0,
+                        method="Radau", jac=jac, t_eval=x_nodes, rtol=1e-12,
+                        atol=1e-12)
+        got = laxframe._sweep_columns(np.array([t]), x_nodes, hm, 15.0, +1)
+        assert np.max(np.abs(got[:, :, 0] - ref.y)) <= 1e-8
+
+
 def test_slab_matching_and_det(hm):
     stokes = laxframe.StokesData.hastings_mcleod()
     row = laxframe.solve_psi0_slab(hm, stokes, -2.0)
@@ -177,7 +196,7 @@ def test_field_reality_and_boundaries(hm, aux_lin):
     assert abs(fld.psi11[0, 0].real - 1.0) < 1e-4
     fld2 = laxframe.psi11_field(hm, aux_lin, np.array([-6.0]), np.array([0.0]))
     assert abs(fld2.psi11[0, 0].real) < 1e-4
-    assert fld.max_imag_ratio() < 1e-8
+    assert fld.w.dtype == fld.psi11.dtype == np.float64
 
 
 def test_pde_residual_small_grid(hm, aux_lin):
@@ -189,7 +208,6 @@ def test_pde_residual_small_grid(hm, aux_lin):
     r2 = laxframe.edge_pde_residual(fld, stride=2)
     assert r1 < 1e-3 * (h * 64) ** 2
     assert 3.0 < r2 / r1 < 5.0
-    assert fld.max_imag_ratio() < 1e-8
 
 
 def test_field_range_guard(hm, aux_lin):
@@ -204,5 +222,5 @@ def test_field_csv_export(hm, aux_lin, tmp_path):
     path = tmp_path / "field.csv"
     fld.export_csv(path)
     lines = open(path).read().strip().split("\n")
-    assert lines[0] == "x,t,re_psi11,im_psi11"
+    assert lines[0] == "x,t,re_psi11"
     assert len(lines) == 1 + 3 * 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twlab import painleve2, specfun
+from twlab import distribution, oracles, painleve2, specfun
 from twlab.errors import BadInterval, OrderTooHigh, OutOfRange, UnknownSeries
 
 
@@ -112,11 +112,18 @@ def test_grid_doubling_oracle(hm):
 
 
 def test_widening_invariance(hm):
-    wide = painleve2.solve_hastings_mcleod(
-        t_min=hm.t_min - 2.0, t_max=hm.t_max + 2.0, n=len(hm.grid) + 8000
-    )
-    for t in (-9.0, -2.0, 0.0, 3.0):
-        assert abs(hm.eval(t)[0] - wide.eval(t)[0]) < 1e-10
+    for window in ((hm.t_min - 2.0, hm.t_max + 2.0, len(hm.grid) + 8000),
+                   (-30.0, 20.0, 100001)):
+        wide = painleve2.solve_hastings_mcleod(*window)
+        for t in (-9.0, -2.0, 0.0, 3.0):
+            assert abs(hm.eval(t)[0] - wide.eval(t)[0]) < 1e-10
+
+
+def test_f2_against_fredholm_at_criterion5_points(hm):
+    # criterion 5 gates 1e-8; the solved u supports three decades more
+    for t in (-8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0):
+        got = distribution.eval_F2(hm, t)
+        assert abs(got - oracles.airy_kernel_fredholm(t, 120)) <= 1e-11
 
 
 def test_omega_tail_at_t_max():

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_sources_use_no_extended_precision():
         text = path.read_text()
         for word in ("longdouble", "float128", "clongdouble"):
             assert word not in text, f"{path.name} uses {word}"
+
+
+def test_solve_ivp_only_in_rk_and_f2_bootstrap():
+    # one ODE integrator: rk.solve_rk wraps scipy's, and f2_bootstrap's
+    # implicit Radau run is the one deliberate exception
+    allowed = {("rk.py", "solve_rk"), ("laxframe.py", "f2_bootstrap")}
+    src = pathlib.Path(specfun.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name == "solve_ivp" and not isinstance(top, ast.ImportFrom):
+                    where = (path.name, getattr(top, "name", None))
+                    assert where in allowed, f"solve_ivp in {where}"
 
 
 def test_airy_grid_matches_scalar():
