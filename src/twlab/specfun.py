@@ -10,6 +10,7 @@ panels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +76,9 @@ def _legendre(m: int, x: np.ndarray):
     return p1, m * (x * p1 - p0) / (x * x - 1)
 
 
-def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
-    """m-point Gauss-Legendre rule on (a, b) by Newton iteration on P_m.
-
-    Library rules are less accurate: for m = 120 the outermost weight is off
-    by 1.1e-11 relative in numpy's leggauss, 3.7e-12 in
-    scipy.special.roots_legendre and 4.0e-13 here (40-digit reference).
-    """
-    if m < 2:
-        raise BadInterval("gauss_legendre: m >= 2 required")
-    if not a < b:
-        raise BadInterval("gauss_legendre: need a < b")
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point rule on [-1, 1], read-only."""
     k = np.arange(1, m + 1)
     x = np.cos(np.pi * (k - 0.25) / (m + 0.5))
     for _ in range(100):
@@ -94,9 +87,27 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    x = x[::-1]
+    x = x[::-1].copy()
     _, dp = _legendre(m, x)   # P_m' at the converged nodes
     w = 2.0 / ((1 - x * x) * dp * dp)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
+    """m-point Gauss-Legendre rule on (a, b) by Newton iteration on P_m.
+
+    The rule on [-1, 1] is solved once per m and cached. Library rules
+    are less accurate: for m = 120 the outermost weight is off by 1.1e-11
+    relative in numpy's leggauss, 3.7e-12 in scipy.special.roots_legendre
+    and 4.0e-13 here (40-digit reference).
+    """
+    if m < 2:
+        raise BadInterval("gauss_legendre: m >= 2 required")
+    if not a < b:
+        raise BadInterval("gauss_legendre: need a < b")
+    x, w = _gauss_legendre_unit(int(m))
     half = 0.5 * (b - a)
     return QuadratureRule(
         nodes=a + half * (x + 1.0), weights=half * w, interval=(float(a), float(b))

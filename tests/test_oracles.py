@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from twlab import oracles
 from twlab.errors import BadInterval
@@ -45,6 +48,74 @@ def test_sampler_chunking_invariance():
     a = oracles.sample_edge(60, 2.0, 5000, 9)
     b = oracles.sample_edge(60, 2.0, 4100, 9)
     assert np.array_equal(a.samples[:4096], b.samples[:4096])
+
+
+def test_sampler_chunking_invariance_truncated():
+    # same at n = 400, where only the top-left 131 rows are bisected
+    a = oracles.sample_edge(400, 2.0, 4100, 9)
+    b = oracles.sample_edge(400, 2.0, 4097, 9)
+    assert np.array_equal(a.lambda_max[:4096], b.lambda_max[:4096])
+
+
+def test_block_rows_rule():
+    # m = min(n, ceil(15 n^(1/3) + 20)): the whole matrix up to n = 87
+    assert all(oracles._block_rows(n) == n for n in range(50, 88))
+    assert oracles._block_rows(88) == 87
+    assert [oracles._block_rows(n) for n in (100, 400, 800, 1000)] == [90, 131, 160, 170]
+
+
+@pytest.mark.parametrize("n", [100, 400, 800])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 6.0])
+def test_truncated_sampler_matches_full_matrix(n, beta):
+    # rebuild block 0 of the stream and take LAPACK's largest eigenvalue
+    # of the full n x n matrix
+    count, seed = 256, 4321
+    s = oracles.sample_edge(n, beta, count, seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    diag = rng.normal(0.0, np.sqrt(1.0 / beta), size=(count, n))
+    off2 = rng.chisquare(beta * np.arange(n - 1, 0, -1), size=(count, n - 1)) / (2.0 * beta)
+    full = np.array([
+        eigvalsh_tridiagonal(diag[j], np.sqrt(off2[j]), select="i",
+                             select_range=(n - 1, n - 1))[0]
+        for j in range(count)
+    ])
+    assert np.max(np.abs(s.lambda_max - full)) <= 1e-10
+    assert s.block_rows == oracles._block_rows(n)
+    assert 50 <= s.sturm_rounds <= 70
+
+
+def _count_below_guarded(diag, off2, x):
+    # textbook Sturm count of one matrix with the 1e-300 pivot guard
+    d = diag[0] - x
+    cnt = int(d < 0)
+    for i in range(1, len(diag)):
+        if abs(d) < 1e-300:
+            d = -1e-300
+        d = diag[i] - x - off2[i - 1] / d
+        cnt += d < 0
+    return cnt
+
+
+def test_all_below_tiny_pivots():
+    # columns 0 and 1 hit an exactly zero pivot (rows 0 and 1); in column 2
+    # the guard turns the subnormal pivot -1e-310 into -1e-300, which flips
+    # the answer; the rest are random
+    rng = np.random.default_rng(3)
+    m, k = 6, 40
+    diag = rng.normal(size=(m, k))
+    off2 = rng.chisquare(4.0, size=(m - 1, k))
+    x = rng.normal(scale=3.0, size=k)
+    x[0] = diag[0, 0]
+    x[1], diag[:2, 1], off2[0, 1] = 0.5, 1.5, 1.0
+    x[2], diag[:, 2], off2[:, 2] = 0.0, [-1e-310, -2.0, -5, -5, -5, -5], 1.0
+    off2[0, 2] = 1e-300
+    got = oracles._all_below(diag, off2, x)
+    want = [_count_below_guarded(diag[:, j], off2[:, j], x[j]) == m for j in range(k)]
+    assert want[2]
+    assert got.tolist() == want
+    eig = [eigvalsh_tridiagonal(diag[:, j], np.sqrt(off2[:, j]))[-1] for j in range(k)]
+    for j in range(3, k):
+        assert got[j] == (eig[j] < x[j])
 
 
 def test_sampler_preconditions():
@@ -112,4 +183,6 @@ def test_exports(tmp_path):
     assert len(lines) == 51
     js = tmp_path / "summary.json"
     s.export_summary(js, ks=0.01)
-    assert '"ks": 0.01' in open(js).read()
+    summary = json.load(open(js))
+    assert summary["ks"] == 0.01
+    assert summary["block_rows"] == 60 and summary["sturm_rounds"] == s.sturm_rounds

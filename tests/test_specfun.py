@@ -162,6 +162,30 @@ def test_gauss_legendre_m120_outermost_against_mpmath():
     assert abs(rule.weights[-1] - weight) <= 1e-12 * weight
 
 
+@pytest.mark.parametrize("m", [16, 24, 120, 400])
+def test_gauss_legendre_cache_matches_fresh_solve(m):
+    fresh_x, fresh_w = specfun._gauss_legendre_unit.__wrapped__(m)
+    for _ in range(2):  # the first call may fill the cache, the second reads it
+        rule = specfun.gauss_legendre(m, -2.0, 3.0)
+        assert np.array_equal(rule.nodes, -2.0 + 2.5 * (fresh_x + 1.0))
+        assert np.array_equal(rule.weights, 2.5 * fresh_w)
+
+
+def test_gauss_legendre_cache_is_read_only():
+    x, w = specfun._gauss_legendre_unit(24)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    rule = specfun.gauss_legendre(24, 0.0, 1.0)
+    want_nodes, want_weights = rule.nodes.copy(), rule.weights.copy()
+    rule.nodes[:] = 0.0
+    rule.weights[:] = 0.0
+    again = specfun.gauss_legendre(24, 0.0, 1.0)
+    assert np.array_equal(again.nodes, want_nodes)
+    assert np.array_equal(again.weights, want_weights)
+
+
 def test_integrate_to_infinity_exponential():
     val = specfun.integrate_to_infinity(lambda s: np.exp(-s), 0.0, 1.0)
     assert abs(val - 1.0) < 1e-13
