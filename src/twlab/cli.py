@@ -339,6 +339,7 @@ def _cmd_verify_pde(cfg, man):
         "negative_control_residual": rb,
         "inflation": rb / r1,
         "grid_step": step,
+        "sweep_substeps": fld.substeps,
     }
     path = os.path.join(cfg.out, "pde_report.json")
     with open(path, "w") as fh:
@@ -349,6 +350,7 @@ def _cmd_verify_pde(cfg, man):
     sub = laxframe.PsiField(
         x_ext=fld.x_ext[::8], t_ext=fld.t_ext[::8], x_int=fld.x_int[::8],
         t_int=fld.t_int[::8], w=fld.w[:, ::8, ::8], psi11=fld.psi11[::8, ::8],
+        substeps=fld.substeps,
     )
     sub.export_csv(field_csv)
     man.add_artifact(field_csv)

@@ -11,6 +11,7 @@ dominant one from the left, across all time rows at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -90,6 +91,7 @@ class PsiField:
     internal coordinates carry the 3^{1/3} / 3^{2/3} factors exactly once.
     w holds the scaled column (2, nx, nt). The x-equation, its series
     start and the gauge factors are all real, so both arrays are float64.
+    substeps counts the Magnus substeps of the sweep that built w.
     """
 
     x_ext: np.ndarray
@@ -98,6 +100,7 @@ class PsiField:
     t_int: np.ndarray
     w: np.ndarray
     psi11: np.ndarray           # (nx, nt)
+    substeps: int               # Magnus substeps of the x-sweep
 
     def export_csv(self, path) -> None:
         """x,t,re_psi11 rows (external coordinates)."""
@@ -232,6 +235,9 @@ _X_KNEE = 4.0
 # Gauss-Legendre nodes on [0, 1] and the 4th-order Magnus commutator weight
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 _COMM = np.sqrt(3.0) / 12.0
+# Magnus substeps whose step matrices are built together: a bounded chunk
+# keeps the (chunk, rows) temporaries at a few MB on any grid
+_CHUNK = 64
 
 
 def _series_w_init(x: float, t, u, ut, om):
@@ -259,59 +265,103 @@ def _expm_traceless(P, Q, R):
     """
     s2 = P * P + Q * R
     a = np.sqrt(np.abs(s2))
-    hyp = s2 > 0
-    c = np.where(hyp, np.cosh(a), np.cos(a))
-    f = np.where(hyp, np.sinh(a), np.sin(a)) / np.where(a > 0, a, 1.0)
-    return c, np.where(a > 0, f, 1.0)
+    c, f = np.cosh(a), np.sinh(a)
+    trig = s2 < 0
+    if trig.any():
+        c[trig], f[trig] = np.cos(a[trig]), np.sin(a[trig])
+    return c, np.divide(f, a, out=np.ones_like(a), where=a > 0)
+
+
+def _gap_substeps(x_start, x_nodes):
+    """Magnus substeps from x_start to x_nodes[0] and between later nodes.
+
+    A gap gets the fewest equal substeps no longer than h(x) at the end of
+    the gap farther from zero.
+    """
+    ends = np.concatenate(([x_start], x_nodes))
+    far = np.maximum(np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])), _X_KNEE)
+    return np.ceil(np.abs(np.diff(ends)) / (_H0 * (_X_KNEE / far) ** 0.75)).astype(int)
+
+
+def _step_matrices(x0, h, t_rows, u, ut, delta, sign):
+    """Yield the entries (M00, M01, M10, M11) of e^{sign dtheta} exp(Omega)
+    for the substeps x0[j] -> x0[j] + h[j] in order, each over all rows.
+
+    L0's entries a = x^2/2 + delta, b = x u - u', c = x u + u' are
+    polynomial in x, so P, Q and R are sums of per-substep weights times
+    per-row columns; with x1, x2 the Gauss points and k = _COMM h^2:
+      P = h (x1^2 + x2^2)/4 + h delta + 2k (x1 - x2) u u'
+      Q = [h (x1 + x2)/2 + k x1 x2 (x1 - x2)] u + [k (x2^2 - x1^2) - h] u'
+          - 2k (x1 - x2) delta u
+      R = [h (x1 + x2)/2 - k x1 x2 (x1 - x2)] u + [k (x2^2 - x1^2) + h] u'
+          + 2k (x1 - x2) delta u
+    Each is one (chunk, 3) @ (3, rows) product for _CHUNK substeps at once.
+    """
+    p_cols = np.stack([np.ones_like(u), delta, u * ut])
+    qr_cols = np.stack([u, ut, delta * u])
+    for lo in range(0, h.size, _CHUNK):
+        hs, xs = h[lo:lo + _CHUNK], x0[lo:lo + _CHUNK]
+        x1, x2 = xs + _GAUSS[1] * hs, xs + _GAUSS[0] * hs
+        k = _COMM * hs * hs
+        comm = 2.0 * k * (x1 - x2)
+        mid = hs * (x1 + x2) / 2.0
+        cross = k * x1 * x2 * (x1 - x2)
+        sq = k * (x2 * x2 - x1 * x1)
+        P = np.stack([hs * (x1 * x1 + x2 * x2) / 4.0, hs, comm], axis=1) @ p_cols
+        Q = np.stack([mid + cross, sq - hs, -comm], axis=1) @ qr_cols
+        R = np.stack([mid - cross, sq + hs, comm], axis=1) @ qr_cols
+        c, f = _expm_traceless(P, Q, R)
+        # theta(x + h) - theta(x), without the cancellation of x^3 / 6
+        xe = xs + hs
+        dth = hs * (xe * xe + xe * xs + xs * xs) / 6.0
+        g = np.exp(sign * (dth[:, None] - (hs / 2.0)[:, None] * t_rows))
+        gc, gf = g * c, g * f
+        yield from zip(gc + gf * P, gf * Q, gf * R, gc - gf * P)
 
 
 def _sweep_columns(t_rows, x_nodes, hm, x_start, sign):
     """Scaled first-kind column, shape (2, len(x_nodes), len(t_rows)).
 
     sign=+1 sweeps w, the column recessive at +infinity scaled by e^{+theta},
-    from x_start > max(x_nodes); sign=-1 sweeps v, the column dominant at
-    -infinity scaled by e^{-theta}, from x_start < min(x_nodes). Both solve
+    from x_start >= x_nodes[0] >= x_nodes[1] >= ...; sign=-1 sweeps v, the
+    column dominant at -infinity scaled by e^{-theta}, from
+    x_start <= x_nodes[0] <= ... . Nodes out of that order raise BadInterval:
+    the other direction is the unstable one. Both solve
     y' = (L0(x) + sign theta'(x) I) y, L0 as in build_L0_B0. The identity
     part commutes, so a step is e^{sign (theta(x+h) - theta(x))} exp(Omega)
     with the 4th-order two-point Gauss Magnus Omega (Iserles-Norsett 1999;
     Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009). exp(Omega) is stable
     for the fast x^2 mode at any step, so the step follows accuracy alone.
     v starts from w's series at -x with the components swapped.
+
+    The sweep runs in two phases. _step_matrices builds the four entries of
+    the step matrix for a chunk of _CHUNK substeps as (chunk, rows) arrays;
+    the state is then multiplied by each step matrix in turn, and stored at
+    every node. The chunk bound keeps memory flat on any grid.
     """
     t_rows = np.atleast_1d(np.asarray(t_rows, dtype=np.float64))
+    x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=np.float64))
+    starts = np.concatenate(([x_start], x_nodes[:-1]))
+    if np.any(sign * (x_nodes - starts) > 0):
+        raise BadInterval(
+            f"_sweep_columns: sign={sign} nodes must run from x_start toward "
+            f"{'-' if sign > 0 else '+'}infinity"
+        )
     u, ut, _ = hm.eval(t_rows)
     om = hm.omega_smooth(t_rows)
     delta = -t_rows / 2.0 - u * u
     w1, w2 = _series_w_init(sign * x_start, t_rows, u, ut, om)
     y0, y1 = (w1, w2) if sign > 0 else (w2, w1)
 
-    def entries(x):
-        return x * x / 2.0 + delta, x * u - ut, x * u + ut
-
+    n_sub = _gap_substeps(x_start, x_nodes)
+    h = np.repeat((x_nodes - starts) / np.maximum(n_sub, 1), n_sub)
+    k = np.arange(h.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    steps = _step_matrices(np.repeat(starts, n_sub) + k * h, h, t_rows, u, ut,
+                           delta, sign)
     out = np.empty((2, len(x_nodes), len(t_rows)))
-    xs = float(x_start)
-    for ni, node in enumerate(x_nodes):
-        far = max(abs(xs), abs(node), _X_KNEE)
-        n_sub = int(np.ceil(abs(node - xs) / (_H0 * (_X_KNEE / far) ** 0.75)))
-        h = (node - xs) / max(n_sub, 1)
-        for _ in range(n_sub):
-            x_new = xs + h
-            a1, b1, c1 = entries(xs + _GAUSS[1] * h)
-            a2, b2, c2 = entries(xs + _GAUSS[0] * h)
-            k = _COMM * h * h
-            P = h / 2.0 * (a1 + a2) + k * (b1 * c2 - b2 * c1)
-            Q = h / 2.0 * (b1 + b2) + 2.0 * k * (a1 * b2 - b1 * a2)
-            R = h / 2.0 * (c1 + c2) + 2.0 * k * (c1 * a2 - a1 * c2)
-            c, f = _expm_traceless(P, Q, R)
-            # theta(x_new) - theta(xs), without the cancellation of x^3 / 6
-            dth = h * ((x_new * x_new + x_new * xs + xs * xs) / 6.0 - t_rows / 2.0)
-            g = np.exp(sign * dth)
-            y0, y1 = (
-                g * ((c + f * P) * y0 + f * Q * y1),
-                g * (f * R * y0 + (c - f * P) * y1),
-            )
-            xs = x_new
-        xs = node
+    for ni, n in enumerate(n_sub):
+        for m00, m01, m10, m11 in islice(steps, n):
+            y0, y1 = m00 * y0 + m01 * y1, m10 * y0 + m11 * y1
         out[:, ni] = y0, y1
     return out
 
@@ -435,7 +485,9 @@ def psi11_field(
 
     Psi11(x,t) = kappa [ u^{-1/2}((1+q2)x/2 - alpha) w1 + u^{1/2} w2 ]:
     the scalar exponential cancels exactly against the column scaling, so
-    the stored field needs no ledger on the ranges used here.
+    the stored field needs no ledger on the ranges used here. BadInterval
+    if 3^{1/3} x_ext passes x_max, where the column would have to be swept
+    outward, in its unstable direction.
     """
     x_ext = np.asarray(x_ext, dtype=np.float64)
     t_ext = np.asarray(t_ext, dtype=np.float64)
@@ -443,6 +495,11 @@ def psi11_field(
     ti = SCALE_T * t_ext
     if ti.min() < aux.t_end or ti.max() > aux.t_start:
         raise BadInterval("psi11_field: internal t range not covered by aux")
+    if xi.max() > x_max:
+        raise BadInterval(
+            f"psi11_field: x = {x_ext.max():.6g} maps beyond the series start "
+            f"(3^(1/3) x must be <= x_max = {x_max:g})"
+        )
     # the sweep visits x in descending order; scatter back to x_ext's order
     order = np.argsort(xi)[::-1]
     W = np.empty((2, len(xi), len(ti)))
@@ -462,6 +519,7 @@ def psi11_field(
         t_int=ti,
         w=W,
         psi11=psi11,
+        substeps=int(_gap_substeps(x_max, xi[order]).sum()),
     )
 
 

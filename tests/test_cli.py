@@ -173,6 +173,7 @@ def test_verify_pde_coarse(tmp_path):
     assert rep["residual"] < 1e-3 * 16.0
     assert 3.0 < rep["richardson_ratio"] < 5.0
     assert rep["inflation"] > 50.0
+    assert isinstance(rep["sweep_substeps"], int) and rep["sweep_substeps"] > 3000
 
 
 def test_verify_pde_gate_uses_richardson_window():

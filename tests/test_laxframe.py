@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from twlab import auxsys, distribution, laxframe
@@ -163,6 +166,146 @@ def test_sweep_against_radau(hm):
         assert np.max(np.abs(got[:, :, 0] - ref.y)) <= 1e-8
 
 
+def _reference_sweep(t_rows, x_nodes, hm, x_start, sign):
+    """The step-by-step form of the Magnus sweep: one substep at a time, its
+    entries at the two Gauss points, exp(Omega) by cosh/sinh or cos/sin.
+    Returns the columns at the nodes and the number of substeps."""
+    u, ut, _ = hm.eval(t_rows)
+    delta = -t_rows / 2.0 - u * u
+    w1, w2 = laxframe._series_w_init(sign * x_start, t_rows, u, ut,
+                                     hm.omega_smooth(t_rows))
+    y0, y1 = (w1, w2) if sign > 0 else (w2, w1)
+    h0, knee = laxframe._H0, laxframe._X_KNEE
+    g0, g1 = laxframe._GAUSS
+    out = np.empty((2, len(x_nodes), len(t_rows)))
+    xs, total = float(x_start), 0
+    for ni, node in enumerate(x_nodes):
+        far = max(abs(xs), abs(node), knee)
+        n_sub = int(np.ceil(abs(node - xs) / (h0 * (knee / far) ** 0.75)))
+        h = (node - xs) / max(n_sub, 1)
+        for _ in range(n_sub):
+            x1, x2 = xs + g1 * h, xs + g0 * h
+            a1, b1, c1 = x1 * x1 / 2 + delta, x1 * u - ut, x1 * u + ut
+            a2, b2, c2 = x2 * x2 / 2 + delta, x2 * u - ut, x2 * u + ut
+            k = laxframe._COMM * h * h
+            P = h / 2 * (a1 + a2) + k * (b1 * c2 - b2 * c1)
+            Q = h / 2 * (b1 + b2) + 2 * k * (a1 * b2 - b1 * a2)
+            R = h / 2 * (c1 + c2) + 2 * k * (c1 * a2 - a1 * c2)
+            s2 = P * P + Q * R
+            s = np.sqrt(np.abs(s2))
+            c = np.where(s2 > 0, np.cosh(s), np.cos(s))
+            f = np.where(s2 > 0, np.sinh(s), np.sin(s)) / np.where(s > 0, s, 1.0)
+            f = np.where(s > 0, f, 1.0)
+            x_new = xs + h
+            g = np.exp(sign * h * ((x_new**2 + x_new * xs + xs**2) / 6 - t_rows / 2))
+            y0, y1 = (g * ((c + f * P) * y0 + f * Q * y1),
+                      g * (f * R * y0 + (c - f * P) * y1))
+            xs = x_new
+        xs = node
+        total += n_sub
+        out[:, ni] = y0, y1
+    return out, total
+
+
+def _max_rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def test_chunked_sweep_matches_reference_on_pde_grid(hm):
+    # criterion 6's grid, every 8th time row
+    xi = laxframe.CBRT3 * np.arange(-3.0, 3.0 + 1e-9, 1.0 / 64.0)[::-1]
+    ti = distribution.SCALE_T * np.arange(-5.0, 1.0 + 1e-9, 1.0 / 64.0)[::8]
+    ref, total = _reference_sweep(ti, xi, hm, 15.0, +1)
+    got = laxframe._sweep_columns(ti, xi, hm, 15.0, +1)
+    assert _max_rel(got, ref) <= 1e-12
+    assert total == laxframe._gap_substeps(15.0, xi).sum() == 4029
+
+
+@pytest.mark.parametrize("t", [-5.0, -2.0, 1.0])
+def test_chunked_sweep_matches_reference_on_slab(hm, t):
+    # the slab's dominant-column sweep from the left; outside the matching
+    # window v is at roundoff (~1e-15) and carries no digits to compare
+    x = np.linspace(-15.0, 15.0, 241)
+    trow = np.array([t])
+    ref, _ = _reference_sweep(trow, x, hm, -15.0, -1)
+    got = laxframe._sweep_columns(trow, x, hm, -15.0, -1)
+    th = laxframe.theta(x, t)
+    win = (th > -4.0) & (th < 8.0)
+    assert win.sum() > 20
+    assert _max_rel(got[:, win], ref[:, win]) <= 1e-12
+
+
+def test_chunked_sweep_edge_cases(hm):
+    t_rows = np.array([-3.0, 0.5])
+    # a first node at x_start takes no substep and returns the series start
+    got = laxframe._sweep_columns(t_rows, np.array([6.0, 5.0]), hm, 6.0, +1)
+    u, ut, _ = hm.eval(t_rows)
+    start = laxframe._series_w_init(6.0, t_rows, u, ut, hm.omega_smooth(t_rows))
+    assert np.array_equal(got[:, 0], np.array(start))
+    ref, _ = _reference_sweep(t_rows, np.array([6.0, 5.0]), hm, 6.0, +1)
+    assert _max_rel(got, ref) <= 1e-12
+    # nodes that end exactly on chunk boundaries, a repeated node included:
+    # a gap of 0.01 (n - 1/2) near zero takes n substeps
+    q = laxframe._CHUNK // 4
+    counts = np.array([q, q, q, q, 0, 2 * q + 4, 2 * q - 4, 2])
+    x = 1.0 - np.cumsum(0.01 * np.maximum(counts - 0.5, 0.0))
+    ends = np.cumsum(laxframe._gap_substeps(1.0, x))
+    assert {laxframe._CHUNK, 2 * laxframe._CHUNK} <= set(ends.tolist())
+    ref, _ = _reference_sweep(t_rows, x, hm, 1.0, +1)
+    assert _max_rel(laxframe._sweep_columns(t_rows, x, hm, 1.0, +1), ref) <= 1e-12
+    # a single time row, as an array and as a scalar
+    ref, _ = _reference_sweep(np.array([-2.0]), x, hm, 1.0, +1)
+    for trow in (np.array([-2.0]), -2.0):
+        got = laxframe._sweep_columns(trow, x, hm, 1.0, +1)
+        assert got.shape == (2, len(x), 1)
+        assert _max_rel(got, ref) <= 1e-12
+
+
+def test_sweep_rejects_nodes_on_the_unstable_side(hm):
+    t_rows = np.array([0.0])
+    for nodes, x_start, sign in (
+        ([16.0], 15.0, +1),            # beyond x_start
+        ([3.0, 4.0], 15.0, +1),        # turns back toward x_start
+        ([-16.0], -15.0, -1),
+        ([0.0, -1.0], -15.0, -1),
+    ):
+        with pytest.raises(BadInterval):
+            laxframe._sweep_columns(t_rows, np.array(nodes), hm, x_start, sign)
+
+
+def test_expm_traceless_branches():
+    # s^2 > 0 (cosh / sinh), s^2 < 0 (cos / sin) and s^2 = 0 in one array
+    P, Q, R = np.array([
+        (0.3, 1.7, 0.4), (-0.9, 0.6, 0.5),
+        (0.2, 1.3, -0.9), (0.0, -2.0, 1.1),
+        (0.0, 0.0, 0.0), (1.0, 1.0, -1.0), (0.0, 1.0, 0.0),
+    ]).T
+    s2 = P * P + Q * R
+    assert (s2 > 0).sum() == 2 and (s2 < 0).sum() == 2 and (s2 == 0).sum() == 3
+    c, f = laxframe._expm_traceless(P, Q, R)
+    for j in range(len(P)):
+        omega = np.array([[P[j], Q[j]], [R[j], -P[j]]])
+        want = scipy.linalg.expm(omega)
+        got = c[j] * np.eye(2) + f[j] * omega
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_psi11_field_memory_is_bounded(hm, aux_lin):
+    # the chunked sweep keeps its temporaries to a few MB; building every
+    # (substep, row) step matrix at once would take hundreds of MB
+    h = 1.0 / 64.0
+    xg = np.arange(-3.0, 3.0 + 1e-9, h)
+    tg = np.arange(-5.0, 1.0 + 1e-9, h)
+    tracemalloc.start()
+    try:
+        fld = laxframe.psi11_field(hm, aux_lin, xg, tg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fld.substeps == 4029
+    assert peak <= 16 * 2**20
+
+
 def test_slab_matching_and_det(hm):
     stokes = laxframe.StokesData.hastings_mcleod()
     row = laxframe.solve_psi0_slab(hm, stokes, -2.0)
@@ -213,6 +356,15 @@ def test_pde_residual_small_grid(hm, aux_lin):
 def test_field_range_guard(hm, aux_lin):
     with pytest.raises(BadInterval):
         laxframe.psi11_field(hm, aux_lin, np.array([0.0]), np.array([-8.0]))
+
+
+def test_field_rejects_x_beyond_series_start(hm, aux_lin):
+    # 3^{1/3} x > x_max would sweep outward, the unstable direction
+    for x in (10.5, 11.0, 12.0):
+        with pytest.raises(BadInterval):
+            laxframe.psi11_field(hm, aux_lin, np.array([0.0, x]), np.array([0.0]))
+    edge = laxframe.psi11_field(hm, aux_lin, np.array([10.0]), np.array([0.0]))
+    assert abs(edge.psi11[0, 0] - 1.0) < 1e-3
 
 
 def test_field_csv_export(hm, aux_lin, tmp_path):
