@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     PoleEncountered,
     StepFailure,
 )
-from .rk import HermiteTable, diff5, solve_rk
+from .rk import HermiteTable, diff5, solve_linear, solve_rk
 
 __all__ = [
     "AuxSolution",
@@ -67,6 +68,8 @@ class AuxSolution:
     hm: painleve2.Painleve2Solution
     table: HermiteTable
     rhs_calls: int = 0
+    steps: int = 0
+    step_shrinks: int = 0
     diagnostics: list = field(default_factory=list)
     tail_int_omega: float = 0.0
     b_constraint_scale: float = 2.0 / 3.0
@@ -154,7 +157,14 @@ def integrate_linear(
     """Integrate the linear (mu+, mu-, nu) system backward from t_start.
 
     Initial data (0, 1, 0) realizes q2 = -1, q1 = 0 (hence alpha = 0) at
-    t_start; any nonzero rescaling of it leaves q2 and q1 unchanged.
+    t_start; any nonzero rescaling of it leaves q2 and q1 unchanged. The
+    (mu+, mu-, nu) part is linear with smooth coefficients, and the four
+    quadrature channels (log kappa, J_omega, J_alpha, J_one) never feed
+    back into it, so rk.solve_linear integrates it in uniform DOP853 steps
+    (rtol tol, atol 1e-24) built for all steps at once. A q2 pole (chi =
+    mu+ - mu- reaching zero, or |q2| past BLOWUP_GUARD) at any stage or
+    output node raises PoleEncountered at the first such t; so does a
+    StepFailure of the integrator, which only the 1/chi channels can cause.
     """
     if t_start < 8.0:
         raise BadInterval("integrate_linear: t_start >= 8 required")
@@ -164,38 +174,52 @@ def integrate_linear(
     u_start = f(t_start)[0]
     chi_sign = np.sign(init[0] - init[1])
     if chi_sign == 0:
-        raise PoleEncountered("initial data has mu_plus = mu_minus")
+        raise PoleEncountered("initial data has mu_plus = mu_minus", t=float(t_start))
 
-    def rhs(t, y):
+    def system(t):
         u, ut, om = f(t)
         lu = ut / u
-        mp_, mm_, nu_ = y[0], y[1], y[2]
-        chi = mp_ - mm_
-        # chi crossing zero, or |q2| = |mu+ + mu-| / |chi| past the guard:
-        # near a pole roundoff in chi would otherwise creep the steps on
-        pole = (chi_sign * chi <= 0) | (abs(mp_ + mm_) > BLOWUP_GUARD * abs(chi))
-        if pole.any():
-            raise PoleEncountered(f"q2 pole near t={_first(t, pole):.6f}")
-        al = nu_ / chi - lu * mp_ / chi
-        q2 = (mp_ + mm_) / chi
-        return [
-            (2.0 / 3.0) * lu * mp_ - nu_ / 3.0,
-            -(2.0 / 3.0) * lu * mm_ + nu_ / 3.0,
-            (2.0 / 3.0) * u * u * mm_ + (2.0 / 3.0) * (om / (u * u)) * mp_,
-            -om / 3.0 - 2.0 * al / 3.0 - lu * (1.0 - 2.0 * q2) / 6.0,
-            om,
-            al,
-            lu * 2.0 * mp_ / chi,
-        ]
+        M = np.zeros((len(t), 3, 3))
+        M[:, 0, 0] = (2.0 / 3.0) * lu
+        M[:, 0, 2] = -1.0 / 3.0
+        M[:, 1, 1] = -(2.0 / 3.0) * lu
+        M[:, 1, 2] = 1.0 / 3.0
+        M[:, 2, 0] = (2.0 / 3.0) * (om / (u * u))
+        M[:, 2, 1] = (2.0 / 3.0) * u * u
 
-    y0 = [init[0], init[1], init[2], -0.5 * np.log(u_start), 0.0, 0.0, 0.0]
+        def quadratures(y):
+            mp_, mm_, nu_ = y
+            chi = mp_ - mm_
+            al = nu_ / chi - lu * mp_ / chi
+            q2 = (mp_ + mm_) / chi
+            return [
+                -om / 3.0 - 2.0 * al / 3.0 - lu * (1.0 - 2.0 * q2) / 6.0,
+                om,
+                al,
+                lu * 2.0 * mp_ / chi,
+            ]
+
+        return M, quadratures
+
+    def guard(t, y):
+        # chi crossing zero, or |q2| = |mu+ + mu-| / |chi| past the guard
+        chi = y[0] - y[1]
+        pole = (chi_sign * chi <= 0) | (abs(y[0] + y[1]) > BLOWUP_GUARD * abs(chi))
+        if pole.any():
+            t_pole = float(t[np.argmax(pole)])
+            raise PoleEncountered(f"q2 pole near t={t_pole:.6f}", t=t_pole)
+
     try:
-        sol = solve_rk(rhs, t_start, t_end, y0, rtol=tol, atol=1e-24, h_out=h_out)
+        sol = solve_linear(
+            system, t_start, t_end, init, [-0.5 * np.log(u_start), 0.0, 0.0, 0.0],
+            rtol=tol, atol=1e-24, h_out=h_out, guard=guard,
+        )
     except StepFailure as exc:
         # the (mu+, mu-, nu) channels are linear with smooth coefficients:
-        # only the 1/chi quadrature channels can stop the integrator
+        # only the 1/chi quadrature channels can fail the error test, near
+        # a pole the guard does not see (chi keeping its sign)
         raise PoleEncountered(
-            f"integration stopped near t={exc.t:.6f} (q2 pole)"
+            f"integration stopped near t={exc.t:.6f} (q2 pole)", t=exc.t
         ) from exc
     aux = AuxSolution(
         route="linear",
@@ -204,6 +228,8 @@ def integrate_linear(
         hm=hm,
         table=HermiteTable(sol.t, sol.y, sol.yp),
         rhs_calls=sol.rhs_calls,
+        steps=sol.steps,
+        step_shrinks=sol.step_shrinks,
         tail_int_omega=hm.int_omega_to_inf(t_start),
     )
     aux.diagnostics = _q2_zero_events(aux)
@@ -267,6 +293,7 @@ def integrate_nonlinear(
         hm=hm,
         table=HermiteTable(sol.t, sol.y, sol.yp),
         rhs_calls=sol.rhs_calls,
+        steps=sol.steps,
         tail_int_omega=hm.int_omega_to_inf(t_start),
         b_constraint_scale=lam,
     )
@@ -332,6 +359,10 @@ class LaxParams:
     U: float
     delta: float
     w: float
+    # rounding remainders: the exact e1 and q1 of the free values are
+    # e1 + e1_lo and q1 + q1_lo (see eval_r_and_integrals)
+    e1_lo: float = 0.0
+    q1_lo: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -342,6 +373,34 @@ class RIntegrals:
     i0: float
     i1: float
     i2: float
+
+
+# Double-double arithmetic on (hi, lo) pairs: each operation carries the
+# rounding error of its float operation to first order in lo (Knuth's exact
+# sum; Dekker's exact product with Veltkamp's split into 26-bit halves).
+
+def _dd_add(x, y):
+    a, b = x[0], y[0]
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb) + x[1] + y[1]
+
+
+def _dd_mul(x, y):
+    a, b = x[0], y[0]
+    p = a * b
+    c = 134217729.0 * a             # 2^27 + 1
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * y[1] + x[1] * b
+
+
+def _dd_div(x, y):
+    q = x[0] / y[0]
+    r = _dd_add(x, _dd_mul(y, (-q, 0.0)))      # the remainder x - q y
+    return q, (r[0] + r[1]) / y[0]
 
 
 def params_from_state(
@@ -378,9 +437,17 @@ def params_from_state(
     lu = ut / u
     omega = u**4 + t * u**2 - ut**2
     delta = -t / 2.0 - u * u
-    q1 = 2 * alpha + lu * dq
+    # q1 and e1 as (hi, lo) pairs: r1 and r2 are sensitive to their
+    # rounding (see eval_r_and_integrals); hi is the float64 value
+    dq_ = (dq, 0.0)
+    one_minus_ = _dd_add((2.0, 0.0), (-dq, 0.0))
+    q1, q1_lo = _dd_add((2 * alpha, 0.0), _dd_mul((lu, 0.0), dq_))
+    e1, e1_lo = _dd_add(
+        _dd_div(_dd_mul((-4 * alpha, 0.0), _dd_add(dq_, (-1.0, 0.0))),
+                _dd_mul(dq_, one_minus_)),
+        _dd_div(_dd_mul((-lu, 0.0), dq_), one_minus_),
+    )
     q0 = 2 * alpha * lu - 2 * delta
-    e1 = -4 * alpha * q2 / one_m - lu * dq / one_minus
     e2 = (4.0 / one_m) * (-(alpha**2) + u * u + dq * delta - dq * alpha * lu)
     e3 = -(4.0 / one_m) * (-2 * alpha * delta + alpha**2 * lu + ut * u + dq / 2.0)
     if q2_t is None:
@@ -401,7 +468,7 @@ def params_from_state(
     return LaxParams(
         t=t, u=u, ut=ut, omega=omega, q2=q2, alpha=alpha, kappa_log=kappa_log,
         q1=q1, q0=q0, e1=e1, e2=e2, e3=e3, a=a, d=d, b=b, c=c, U=U,
-        delta=delta, w=-ut,
+        delta=delta, w=-ut, e1_lo=e1_lo, q1_lo=q1_lo,
     )
 
 
@@ -439,11 +506,28 @@ def reconstruct_params(
 
 
 def eval_r_and_integrals(params: LaxParams) -> RIntegrals:
-    """Auxiliary r-functions and the three integrals of motion."""
+    """Auxiliary r-functions and the three integrals of motion.
+
+    r2 and r1 are sums of terms up to ~1e4 times their value when |q2|
+    nears 1 and |u'/u| is large, so they are evaluated in double-double
+    from e1 + e1_lo and q1 + q1_lo and summed exactly: in float64 they
+    missed r2 = -t/2 and r1 = (1 + q2)/2 by up to ~6e-12, and without the
+    remainders r1 still missed by up to 1.5e-12.
+    """
     p = params
+    q2, e3, q0 = (p.q2, 0.0), (p.e3, 0.0), (p.q0, 0.0)
+    e1, q1 = (p.e1, p.e1_lo), (p.q1, p.q1_lo)
+    m_dd = _dd_mul(_dd_add(_dd_mul(q2, q2), (-1.0, 0.0)), (0.25, 0.0))
+    # r2 = m (e1^2 - e2) - 0.5 e1 q1 q2 + 0.5 q2 q0 + 0.25 q1^2
+    r2 = math.fsum(_dd_mul(m_dd, _dd_add(_dd_mul(e1, e1), (-p.e2, 0.0)))
+                   + _dd_mul(_dd_mul(e1, q1), (-0.5 * p.q2, 0.0))
+                   + _dd_mul((0.5 * p.q2, 0.0), q0)
+                   + _dd_mul((0.25 * p.q1, 0.25 * p.q1_lo), q1))
+    # r1 = m (e3 - e2 e1) + 0.5 e2 q1 q2 - 0.5 q1 q0
+    r1 = math.fsum(_dd_mul(m_dd, _dd_add(e3, _dd_mul((-p.e2, 0.0), e1)))
+                   + _dd_mul(_dd_mul((0.5 * p.e2, 0.0), q1), q2)
+                   + _dd_mul(q1, (-0.5 * p.q0, 0.0)))
     m = (p.q2 * p.q2 - 1.0) / 4.0
-    r2 = m * (p.e1**2 - p.e2) - 0.5 * p.e1 * p.q1 * p.q2 + 0.5 * p.q2 * p.q0 + 0.25 * p.q1**2
-    r1 = m * (p.e3 - p.e2 * p.e1) + 0.5 * p.e2 * p.q1 * p.q2 - 0.5 * p.q1 * p.q0
     r0 = p.q0**2 / 4.0 + p.e1 * p.e3 * m - 0.5 * p.e3 * p.q1 * p.q2
     return RIntegrals(
         r2=r2,
@@ -604,6 +688,8 @@ def export_diagnostics(aux: AuxSolution, path) -> None:
         "t_end": aux.t_end,
         "events": [{"t": float(t), "event": name} for t, name in aux.diagnostics],
         "rhs_calls": aux.rhs_calls,
+        "steps": aux.steps,
+        "step_shrinks": aux.step_shrinks,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

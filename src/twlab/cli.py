@@ -203,6 +203,12 @@ def _solve_aux(cfg: RunConfig, hm) -> auxsys.AuxSolution:
     )
 
 
+def _aux_work(aux) -> dict:
+    """The aux route's work counters, as the manifest records them."""
+    return {"rhs_calls": aux.rhs_calls, "steps": aux.steps,
+            "step_shrinks": aux.step_shrinks}
+
+
 # --------------------------- subcommands -----------------------------------
 
 def _cmd_hm_solve(cfg, man):
@@ -231,6 +237,7 @@ def _cmd_aux_solve(cfg, man):
     man.data["results"] = {
         "q2_at_start": q2_end,
         "events": len(aux.diagnostics),
+        **_aux_work(aux),
     }
     return 0 if abs(q2_end + 1.0) < 1e-8 else 1
 
@@ -238,10 +245,12 @@ def _cmd_aux_solve(cfg, man):
 def _cmd_tw_table(cfg, man):
     hm = _solve_hm(cfg)
     grid = parse_grid(cfg.t_grid)
+    work = {"newton_iterations": hm.newton_iterations}
     if cfg.beta == 2:
         table = distribution.tabulate(hm, None, 2, grid)
     else:
         aux = _solve_aux(cfg, hm)
+        work.update(_aux_work(aux))
         table = distribution.tabulate(hm, aux, 6, grid)
     path = os.path.join(cfg.out, f"tw{cfg.beta}.csv")
     table.export_csv(path)
@@ -250,7 +259,7 @@ def _cmd_tw_table(cfg, man):
     table.export_metadata(meta)
     man.add_artifact(meta)
     monotone = distribution.is_effectively_monotone(table.F)
-    man.data["results"] = {"monotone": monotone, "rows": len(grid)}
+    man.data["results"] = {"monotone": monotone, "rows": len(grid), **work}
     return 0 if monotone else 1
 
 

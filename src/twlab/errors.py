@@ -34,7 +34,11 @@ class OrderTooHigh(TwlabError):
 
 
 class PoleEncountered(TwlabError):
-    """mu_plus - mu_minus crossed zero (pole of q2)."""
+    """mu_plus - mu_minus crossed zero (pole of q2), at t when known."""
+
+    def __init__(self, message, t=None):
+        self.t = t
+        super().__init__(message)
 
 
 class StepFailure(TwlabError):

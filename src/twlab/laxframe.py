@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from . import auxsys, painleve2
 from .distribution import SCALE_T
 from .errors import BadInterval, DegenerateGauge, MatchFailure
-from .rk import diff5, solve_rk
+from .rk import diff5, solve_linear
 
 __all__ = [
     "StokesData",
@@ -452,21 +452,20 @@ def _det_window(hm, t, x_lo=-2.0, x_hi=2.0):
     u, ut, _ = hm.eval(t)
     delta = -t / 2.0 - u * u
 
-    def rhs(x, y):
-        a = x * x / 2.0 + delta
-        b = x * u - ut
-        c = x * u + ut
-        return [
-            a * y[0] + b * y[1],
-            c * y[0] - a * y[1],
-            a * y[2] + b * y[3],
-            c * y[2] - a * y[3],
-        ]
+    def system(x):
+        # the two columns each solve psi' = [[a, b], [c, -a]] psi
+        M = np.zeros((len(x), 4, 4))
+        for col in (0, 2):
+            M[:, col, col] = x * x / 2.0 + delta
+            M[:, col, col + 1] = x * u - ut
+            M[:, col + 1, col] = x * u + ut
+            M[:, col + 1, col + 1] = -M[:, col, col]
+        return M, None
 
     pre = _sweep_columns(np.array([t]), np.array([x_hi]), hm, x_hi + 6.0, +1)[:, 0, 0]
     scale = np.exp(-theta(x_hi, t))
     y0 = [pre[0] * scale, pre[1] * scale, 0.0, 1.0]
-    sol = solve_rk(rhs, x_hi, x_lo, y0, rtol=1e-12, atol=1e-15, h_out=0.1)
+    sol = solve_linear(system, x_hi, x_lo, y0, rtol=1e-12, atol=1e-15, h_out=0.1)
     return sol.y[0] * sol.y[3] - sol.y[1] * sol.y[2]
 
 

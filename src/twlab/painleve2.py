@@ -34,6 +34,8 @@ __all__ = [
 SQRT2 = np.sqrt(2.0)
 # half-width in t of the moving average in _denoise_slope
 SLOPE_WINDOW = 0.025
+# Newton corrections up to this size skip the line search
+NEWTON_FULL_STEP = 1e-6
 
 # t -> -inf series, coefficients exact as printed: each term is
 # coef * sqrt(2)^s2 * (-t)^expo.  For 'u' the ladder multiplies the leading
@@ -233,7 +235,10 @@ def solve_hastings_mcleod(
     u(t_max) = Ai(t_max) and u(t_min) from the 6-term t -> -inf series;
     damped Newton with a tridiagonal Jacobian. The initial iterate is the
     left profile sqrt(-t/2), switched off by a logistic step centered at
-    t = -1, which keeps Newton inside the Hastings-McLeod basin.
+    t = -1, which keeps Newton inside the Hastings-McLeod basin. Steps of
+    max|du| <= NEWTON_FULL_STEP are taken undamped, and the iteration
+    stops once that undamped max|du| (reported as final_update) is below
+    tol, so the converged u does not depend on the start.
 
     Grid-quality note: the stored midpoint ODE residual scales like
     u'''' h^2 / 24, so the 1e-8 residual target needs h <= ~5e-4
@@ -246,8 +251,7 @@ def solve_hastings_mcleod(
     t = np.linspace(t_min, t_max, n)
     h = t[1] - t[0]
 
-    w = 1.0 / (1.0 + np.exp((t + 1.0) / 0.8))
-    u = w * np.sqrt(np.maximum(-t, 0.0) / 2)
+    u = _start(t)
     u_series6 = eval_series("u", t_min, 6)
     u[0] = u_series6
     u[-1] = specfun.airy(t_max).ai
@@ -268,17 +272,20 @@ def solve_hastings_mcleod(
         ab[0, 1:] = 1.0 - c * fp[2:-1]
         ab[2, :-1] = 1.0 - c * fp[1:-2]
         du = solve_banded((1, 1), ab, -R)
-        lam, nrm0 = 1.0, float(np.max(np.abs(R)))
-        while lam > 1e-4:
-            un = u.copy()
-            un[1:-1] += lam * du
-            if float(np.max(np.abs(residual(un)))) < nrm0 or np.max(
-                np.abs(lam * du)
-            ) < 1e-15:
-                break
-            lam /= 2
+        last_update = float(np.max(np.abs(du)))
+        lam = 1.0
+        # near the solution the residual sits at its rounding floor and
+        # cannot decrease: there the full step is taken
+        if last_update > NEWTON_FULL_STEP:
+            nrm0 = float(np.max(np.abs(R)))
+            while lam > 1e-4:
+                un = u.copy()
+                un[1:-1] += lam * du
+                if float(np.max(np.abs(residual(un)))) < nrm0 or lam * last_update < 1e-15:
+                    break
+                lam /= 2
+            del un
         u[1:-1] += lam * du
-        last_update = float(np.max(np.abs(lam * du)))
         if last_update < tol:
             break
     else:
@@ -286,7 +293,7 @@ def solve_hastings_mcleod(
             f"no contraction after {max_iter} iterations (update {last_update:g})"
         )
     # the table is built at the end: release the work arrays before it
-    del w, R, fp, ab, du, un
+    del R, fp, ab, du
 
     ut = _denoise_slope(t, u, diff5(u, h), h)
     omega = u**4 + t * u**2 - ut**2
@@ -319,6 +326,13 @@ def solve_hastings_mcleod(
         _int_om_right=int_om_right,
         _tail_int_om=float(tail_om),
     )
+
+
+def _start(t, centre=-1.0):
+    """Newton's first iterate: sqrt(-t/2) switched off by a logistic step
+    centred at t = centre."""
+    w = 1.0 / (1.0 + np.exp((t - centre) / 0.8))
+    return w * np.sqrt(np.maximum(-t, 0.0) / 2)
 
 
 def _denoise_slope(t, u, ut, h):

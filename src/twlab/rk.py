@@ -1,10 +1,23 @@
 """The shared numerical kernels: ODE integration, table lookup, differences.
 
-solve_rk runs scipy's DOP853, the explicit 8(5,3) Runge-Kutta pair of
-Dormand and Prince with its 7th-order dense output (Hairer, Norsett and
-Wanner, Solving ODEs I, sec. II.10), in float64. It samples the dense
-output at uniformly spaced nodes and evaluates the right-hand side there
-in one vectorized call.
+One method, two integrators. Every ODE here is integrated by DOP853, the
+explicit 8(5,3) Runge-Kutta pair of Dormand and Prince with its 7th-order
+dense output (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.10), in
+float64, and sampled at uniformly spaced output nodes.
+
+solve_rk runs scipy's adaptive DOP853 on a general y' = f(t, y): one RHS
+call per stage, with scipy's step control. It serves the systems that are
+not linear: the nonlinear auxiliary route and the log kappa recomputation.
+
+solve_linear takes the same tableau (scipy's own coefficients) to
+y' = M(t) y with quadratures q' = g(t, y) that do not feed back. There one
+DOP853 step is a d x d matrix and every stage state a d x d map applied to
+the state at the step's start, so a pass builds the maps of all steps at
+once from M at all stage times, then advances the state by one matrix
+product per step. The step is uniform; when DOP853's own error estimate
+exceeds 1 anywhere, the whole pass is redone with a smaller step. It
+serves the linear auxiliary route, ~7x faster than stepping it stage by
+stage, and the determinant window of the x-equation.
 
 HermiteTable is the one cubic Hermite interpolant every table uses (the
 Hastings-McLeod table, the auxiliary trajectory, the CDF table): node
@@ -18,14 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .errors import BadInterval, OutOfRange, StepFailure
 
-# Step cap: with uncapped steps the nonlinear auxiliary route drifts up to
-# ~1e-9 from the linear one (criterion 4); capped, ~2e-12.
+# Step cap of solve_rk and first step of solve_linear: with uncapped steps
+# the nonlinear auxiliary route drifts up to ~1e-9 from the linear one
+# (criterion 4); capped, ~1e-13.
 MAX_STEP = 0.05
 # DOP853 rejects a relative tolerance below 100 machine epsilons.
 RTOL_FLOOR = 100 * np.finfo(np.float64).eps
+# passes of solve_linear, each with a smaller uniform step, before it gives up
+MAX_TRIES = 4
+# stage evaluations of all passes of solve_linear; a pass holds its stage
+# maps in memory, so this also bounds its size (the auxiliary route takes
+# ~17000)
+MAX_STAGE_CALLS = 100_000
 
 
 @dataclass
@@ -35,7 +56,9 @@ class RkSolution:
     t: np.ndarray           # output nodes, in integration order
     y: np.ndarray           # shape (dim, len(t))
     yp: np.ndarray          # RHS at the nodes
-    rhs_calls: int          # RHS calls made by the integrator's steps
+    rhs_calls: int          # RHS calls (stage evaluations) of the steps
+    steps: int = 0          # accepted steps
+    step_shrinks: int = 0   # passes redone with a smaller step (solve_linear)
 
 
 def _basis(s, h):
@@ -160,11 +183,7 @@ def solve_rk(
     whose RHS is dominated by roundoff the steps shrink to a few ulps of t
     without failing, and the budget is what stops them.
     """
-    direction = 1.0 if t1 > t0 else -1.0
-    n_out = max(1, int(round(abs(t1 - t0) / h_out)))
-    nodes = t0 + direction * (abs(t1 - t0) / n_out) * np.arange(n_out + 1)
-    nodes[-1] = t1
-
+    nodes = _output_nodes(t0, t1, h_out)
     calls = 0
     t_last = float(t0)
 
@@ -192,4 +211,145 @@ def solve_rk(
         raise StepFailure(t_stop, f"solve_rk: {res.message} near t={t_stop}")
     y = res.sol(nodes)
     yp = np.asarray(f(nodes, y), dtype=np.float64)
-    return RkSolution(t=nodes, y=y, yp=yp, rhs_calls=res.nfev)
+    return RkSolution(t=nodes, y=y, yp=yp, rhs_calls=res.nfev, steps=len(res.t) - 1)
+
+
+def _output_nodes(t0, t1, h_out):
+    """Uniform nodes from t0 to t1 (both included), about h_out apart."""
+    n_out = max(1, int(round(abs(t1 - t0) / h_out)))
+    nodes = t0 + np.sign(t1 - t0) * (abs(t1 - t0) / n_out) * np.arange(n_out + 1)
+    nodes[-1] = t1
+    return nodes
+
+
+def solve_linear(
+    system,
+    t0: float,
+    t1: float,
+    y0,
+    q0=(),
+    *,
+    rtol: float = 1e-13,
+    atol: float = 1e-20,
+    h_out: float = 0.002,
+    guard=None,
+) -> RkSolution:
+    """Integrate y' = M(t) y, q' = g(t, y) from t0 to t1 by DOP853 in uniform
+    steps, output every ~h_out; the solution's rows are (y, q).
+
+    system(t) takes a 1-d array of times and returns (M, g): M of shape
+    (len(t), d, d), and g, which maps the states y of shape (d, len(t))
+    at those times to q' of shape (m, len(t)), or None when there are no
+    quadratures. guard(t, y), if given, sees the states y (shape (d, k))
+    at every stage and every output node of a pass, with their times t,
+    in integration order, and raises where the problem leaves its domain;
+    it runs before the step-size test, so that leaving the domain never
+    turns into step shrinking.
+
+    The first pass takes the largest uniform step not above MAX_STEP. A
+    pass is accepted when DOP853's error estimate (scipy's E3/E5 norm over
+    all channels, with rtol and atol) is below 1 on every step; otherwise
+    the step shrinks by max(0.2, 0.9 err^(-1/8)) for the worst step and the
+    pass is redone. rtol below RTOL_FLOOR is raised to it. Raises
+    StepFailure at the worst step's t after MAX_TRIES passes, or when a
+    pass would take the stage evaluations past MAX_STAGE_CALLS.
+    """
+    rtol = max(rtol, RTOL_FLOOR)
+    y0 = np.asarray(y0, dtype=np.float64)
+    q0 = np.asarray(q0, dtype=np.float64)
+    span = abs(t1 - t0)
+    n_steps = int(np.ceil(span / MAX_STEP))
+    nodes = _output_nodes(t0, t1, h_out)
+    calls = 0
+    for tries in range(MAX_TRIES):
+        calls += dop853.N_STAGES_EXTENDED * n_steps
+        if calls > MAX_STAGE_CALLS:
+            raise StepFailure(t0, f"solve_linear: step budget exhausted at {n_steps} steps")
+        h = np.sign(t1 - t0) * span / n_steps
+        y, err = _linear_pass(system, t0, t1, h, n_steps, y0, q0, nodes, guard, rtol, atol)
+        worst = int(np.argmax(err))
+        if err[worst] < 1.0:
+            break
+        n_steps = int(np.ceil(span / (abs(h) * max(0.2, 0.9 * err[worst] ** -0.125))))
+    else:
+        raise StepFailure(
+            t0 + worst * h,
+            f"solve_linear: error estimate {err[worst]:.3g} after {MAX_TRIES} passes "
+            f"near t={t0 + worst * h}",
+        )
+    M, g = system(nodes)
+    d = len(y0)
+    yp = np.einsum("nab,bn->an", M, y[:d])
+    if len(q0):
+        yp = np.concatenate([yp, np.asarray(g(y[:d]))])
+    return RkSolution(
+        t=nodes, y=y, yp=yp, rhs_calls=calls, steps=n_steps, step_shrinks=tries
+    )
+
+
+def _linear_pass(system, t0, t1, h, n_steps, y0, q0, nodes, guard, rtol, atol):
+    """One uniform-step DOP853 pass of solve_linear: the dense output at the
+    nodes, shape (channels, len(nodes)), and the error estimate of each
+    step. Arrays over the stages of all steps are stage-major."""
+    A, C, n_st = dop853.A, dop853.C, dop853.N_STAGES
+    d = len(y0)
+    times = t0 + h * (np.arange(n_steps) + C[:, None])
+    times[C == 1.0, -1] = t1
+    M, g = system(times.ravel())
+    M = M.reshape(len(C), n_steps, d, d)
+    # stage maps: the state at stage s is S[s] y_n, its derivative K[s] y_n;
+    # row 12 of A is B, so S[12] holds the step matrices
+    S = np.empty_like(M)
+    K = np.empty_like(M)
+    S[0] = np.eye(d)
+    K[0] = M[0]
+    for s in range(1, len(C)):
+        S[s] = np.eye(d) + h * np.tensordot(A[s, :s], K[:s], axes=1)
+        K[s] = M[s] @ S[s]
+    y = np.empty((n_steps + 1, d))
+    y[0] = y0
+    for n, step in enumerate(S[n_st]):
+        y[n + 1] = step @ y[n]
+    states = (S @ y[:-1, :, None])[..., 0]
+    k = (K @ y[:-1, :, None])[..., 0]
+    z = y
+    if len(q0):
+        with np.errstate(all="ignore"):
+            gk = np.asarray(g(states.reshape(-1, d).T)).T.reshape(len(C), n_steps, -1)
+        dq = h * np.tensordot(dop853.B, gk[:n_st], axes=1)
+        q = q0 + np.concatenate([np.zeros((1, len(q0))), np.cumsum(dq, axis=0)])
+        z = np.concatenate([y, q], axis=1)
+        k = np.concatenate([k, gk], axis=2)
+    out = _dense_output(z, k, t0, h, nodes)
+    if guard is not None:
+        t_all = np.concatenate([times.ravel(), nodes])
+        y_all = np.concatenate([states.reshape(-1, d), out[:d].T])
+        order = np.argsort((t_all - t0) * np.sign(h), kind="stable")
+        guard(t_all[order], y_all[order].T)
+    # DOP853's error norm, step by step (scipy's _estimate_error_norm)
+    scale = atol + rtol * np.maximum(abs(z[:-1]), abs(z[1:]))
+    e5 = ((np.tensordot(dop853.E5, k[:n_st + 1], axes=1) / scale) ** 2).sum(axis=1)
+    e3 = ((np.tensordot(dop853.E3, k[:n_st + 1], axes=1) / scale) ** 2).sum(axis=1)
+    denom = np.sqrt((e5 + 0.01 * e3) * z.shape[1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        err = np.where(denom > 0, abs(h) * e5 / denom, 0.0)
+    return out, np.where(np.isnan(err), np.inf, err)
+
+
+def _dense_output(z, k, t0, h, nodes):
+    """DOP853's dense output (scipy's F rows) at the nodes, shape
+    (channels, len(nodes)), from the step-start states z and the
+    stage-major stage derivatives k of a uniform-step pass."""
+    dz = z[1:] - z[:-1]
+    F = np.concatenate([
+        [dz, h * k[0] - dz, 2 * dz - h * (k[dop853.N_STAGES] + k[0])],
+        h * np.tensordot(dop853.D, k, axes=1),
+    ])
+    n = np.clip(((nodes - t0) / h).astype(int), 0, len(dz) - 1)
+    x = (nodes - (t0 + n * h)) / h
+    F = F.transpose(0, 2, 1)            # (row, channel, step)
+    out = np.zeros((z.shape[1], len(nodes)))
+    for i, f in enumerate(F[::-1]):
+        out += f[:, n]
+        out *= x if i % 2 == 0 else 1 - x
+    return out + z[n].T

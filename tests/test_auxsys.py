@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from twlab import auxsys, painleve2
-from twlab.errors import BadInterval, BlowUp, DegenerateQ2, PoleEncountered
+from twlab import auxsys, painleve2, rk
+from twlab.errors import BadInterval, BlowUp, DegenerateQ2, PoleEncountered, StepFailure
 
 
 def test_initial_data_self_check(aux_lin):
@@ -92,9 +92,80 @@ def test_compute_log_kappa_recompute(hm, aux_lin):
     assert float(str(drift[-1]).split(":")[1]) < 1e-6
 
 
+def _linear_part(hm):
+    f = painleve2.fast_eval(hm)
+
+    def rhs(t, y):
+        u, ut, om = f(t)
+        lu = ut / u
+        return [
+            (2.0 / 3.0) * lu * y[0] - y[2] / 3.0,
+            -(2.0 / 3.0) * lu * y[1] + y[2] / 3.0,
+            (2.0 / 3.0) * u * u * y[1] + (2.0 / 3.0) * (om / (u * u)) * y[0],
+        ]
+
+    return rhs
+
+
 def test_pole_encountered_guard(hm):
-    with pytest.raises(PoleEncountered):
-        auxsys.integrate_linear(hm, t_start=8.0, t_end=-2.0, init=(1.0, 0.999, -10.0))
+    init = (1.0, 0.999, -10.0)
+    with pytest.raises(PoleEncountered) as exc:
+        auxsys.integrate_linear(hm, t_start=8.0, t_end=-2.0, init=init)
+    # the (mu+, mu-, nu) part alone has no pole: find chi's zero on it
+    sol = rk.solve_rk(_linear_part(hm), 8.0, -2.0, init, h_out=1e-4)
+    chi = sol.y[0] - sol.y[1]
+    t_zero = sol.t[np.argmax(chi <= 0)]
+    assert abs(exc.value.t - t_zero) <= rk.MAX_STEP
+
+
+def test_step_failure_reported_as_pole(hm, monkeypatch):
+    # only the 1/chi quadrature channels can fail the error test, near a
+    # pole the guard does not see
+    def fail(*args, **kwargs):
+        raise StepFailure(3.5)
+
+    monkeypatch.setattr(auxsys, "solve_linear", fail)
+    with pytest.raises(PoleEncountered) as exc:
+        auxsys.integrate_linear(hm)
+    assert exc.value.t == 3.5
+
+
+def test_linear_route_matches_stagewise_dop853(hm, aux_lin):
+    # the route as scipy's adaptive DOP853 integrated it, one RHS call per
+    # stage, on the 7-channel system; measured gaps: q2 3.7e-15, alpha
+    # 3.6e-15, log kappa 5.5e-14, J 1.2e-14 relative to max(1, |J|)
+    f = painleve2.fast_eval(hm)
+    linear = _linear_part(hm)
+
+    def rhs(t, y):
+        u, ut, om = f(t)
+        lu = ut / u
+        mp_, mm_, nu_ = y[0], y[1], y[2]
+        chi = mp_ - mm_
+        al = nu_ / chi - lu * mp_ / chi
+        q2 = (mp_ + mm_) / chi
+        return [
+            *linear(t, y),
+            -om / 3.0 - 2.0 * al / 3.0 - lu * (1.0 - 2.0 * q2) / 6.0,
+            om,
+            al,
+            lu * 2.0 * mp_ / chi,
+        ]
+
+    y0 = [0.0, 1.0, 0.0, -0.5 * np.log(f(12.0)[0]), 0.0, 0.0, 0.0]
+    sol = rk.solve_rk(rhs, 12.0, -11.0, y0, rtol=1e-13, atol=1e-24)
+    ref = auxsys.AuxSolution("linear", 12.0, -11.0, hm,
+                             rk.HermiteTable(sol.t, sol.y, sol.yp))
+    t = aux_lin.grid
+    assert np.array_equal(t, ref.grid)
+    assert np.max(np.abs(aux_lin.q2_at(t) - ref.q2_at(t))) <= 2e-14
+    assert np.max(np.abs(aux_lin.alpha_at(t) - ref.alpha_at(t))) <= 2e-14
+    assert np.max(np.abs(aux_lin.log_kappa_at(t) - ref.log_kappa_at(t))) <= 2e-13
+    for j, j_ref in zip(aux_lin.integrals_from_start(t), ref.integrals_from_start(t)):
+        assert np.max(np.abs(j - j_ref) / np.maximum(1.0, np.abs(j_ref))) <= 5e-14
+    # the first pass at step 0.05 fails DOP853's error test on [0, 6.1]
+    assert aux_lin.step_shrinks == 1
+    assert aux_lin.rhs_calls == 16 * (460 + aux_lin.steps)
 
 
 def test_q2_zero_event_recorded(aux_lin):
@@ -130,6 +201,40 @@ def test_randomized_r_identities():
         assert abs(p.a - p.d - q2 * (p.b - p.e1) - p.q1) < 1e-12 * max(
             1.0, abs(p.a)
         )
+
+
+def test_r_identities_hold_at_every_seed():
+    # criterion 1's generator at 50 seeds: in float64, r1 missed (1 + q2)/2
+    # by more than 1e-12 at ~16% of seeds (worst 6e-12), r2 missed -t/2 at
+    # ~4%
+    worst_r1 = worst_r2 = 0.0
+    for seed in range(50):
+        # the same values as drawing t, q2, alpha, u, ut one at a time
+        tuples = np.random.default_rng(seed).uniform(
+            [-8, -0.95, -2, 0.2, -2], [4, 0.95, 2, 2.0, 2], (1000, 5))
+        for t, q2, alpha, u, ut in tuples.tolist():
+            r = auxsys.eval_r_and_integrals(
+                auxsys.params_from_state(t, u, ut, q2=q2, alpha=alpha))
+            worst_r1 = max(worst_r1, abs(r.r1 - (1 + q2) / 2))
+            worst_r2 = max(worst_r2, abs(r.r2 + t / 2))
+    assert worst_r1 <= 1e-12
+    assert worst_r2 <= 1e-12
+
+
+@pytest.mark.parametrize("t, q2, alpha, u, ut", [
+    # tuples of criterion 1's generator at seeds 96, 99 and 140 where r1,
+    # evaluated in double-double from the rounded e1 and q1 alone, missed
+    # (1 + q2)/2 by 1.3e-12, 1.5e-12 and 1.02e-12
+    (-7.154555390110476, 0.9301674169408303, -1.9152749038170973,
+     0.20649956131782643, -1.8488458272424881),
+    (-0.04692360770138926, 0.9390739722216614, -1.6881623585333103,
+     0.21434117684627027, -1.8979814827821193),
+    (-2.345664770552256, 0.9429753458634444, -1.4286811574519622,
+     0.2221256592866985, 1.893569908920398),
+], ids=["seed96", "seed99", "seed140"])
+def test_r1_needs_the_e1_q1_remainders(t, q2, alpha, u, ut):
+    p = auxsys.params_from_state(t, u, ut, q2=q2, alpha=alpha)
+    assert abs(auxsys.eval_r_and_integrals(p).r1 - (1 + q2) / 2) <= 1e-12
 
 
 def test_q0_at_start(hm, aux_lin):
@@ -195,4 +300,6 @@ def test_exports(aux_lin, tmp_path):
     auxsys.export_diagnostics(aux_lin, diag_path)
     payload = json.load(open(diag_path))
     assert payload["route"] == "linear"
+    assert (payload["steps"], payload["step_shrinks"]) == (aux_lin.steps, 1)
+    assert payload["rhs_calls"] == aux_lin.rhs_calls
     assert any(e["event"] == "q2-zero" for e in payload["events"])

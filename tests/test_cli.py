@@ -121,6 +121,8 @@ def test_tw_table_beta2_run(tmp_path):
     assert rc == 0
     man = json.load(open(tmp_path / "o" / "manifest.json"))
     assert man["results"]["monotone"] is True
+    assert 1 <= man["results"]["newton_iterations"] <= 50
+    assert "steps" not in man["results"]
     rows = open(tmp_path / "o" / "tw2.csv").read().strip().split("\n")
     assert rows[0] == "t,F,logF,pdf"
     assert len(rows) == 18
@@ -132,6 +134,24 @@ def test_aux_solve_run(tmp_path):
     assert rc == 0
     diag = json.load(open(tmp_path / "o" / "aux_diagnostics.json"))
     assert any(e["event"] == "q2-zero" for e in diag["events"])
+    man = json.load(open(tmp_path / "o" / "manifest.json"))
+    work = {k: diag[k] for k in ("rhs_calls", "steps", "step_shrinks")}
+    assert {k: man["results"][k] for k in work} == work
+    # the route [8, -11.5] starts at 390 steps of 0.05 and shrinks once
+    assert work["step_shrinks"] == 1
+    assert work["rhs_calls"] == 16 * (390 + work["steps"])
+
+
+def test_tw_table_beta6_records_solver_work(tmp_path):
+    cfg = write_config(tmp_path, {"command": "tw-table", "hm": {"n": 4001}})
+    rc = cli.main(["tw-table", "--config", str(cfg), "--beta", "6",
+                   "--t=-3:2:0.5", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    res = json.load(open(tmp_path / "o" / "manifest.json"))["results"]
+    assert res["rows"] == 11 and res["monotone"] is True
+    assert 1 <= res["newton_iterations"] <= 50
+    assert res["steps"] > 390 and res["step_shrinks"] >= 1
+    assert res["rhs_calls"] > 16 * res["steps"]
 
 
 def test_mc_edge_run_reports_ks(tmp_path):

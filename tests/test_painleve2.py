@@ -119,6 +119,17 @@ def test_widening_invariance(hm):
             assert abs(hm.eval(t)[0] - wide.eval(t)[0]) < 1e-10
 
 
+@pytest.mark.parametrize("centre", [-2.0, 0.0])
+def test_newton_result_independent_of_start(hm, monkeypatch, centre):
+    # the damped line search used to stop Newton at u up to 5.8e-10 off
+    # (start centred at -2); the converged u is now the same from any start
+    start = painleve2._start
+    monkeypatch.setattr(painleve2, "_start", lambda t: start(t, centre=centre))
+    other = painleve2.solve_hastings_mcleod()
+    assert np.max(np.abs(other.u - hm.u)) <= 1e-14
+    assert other.final_update < 1e-11 and hm.final_update < 1e-11
+
+
 def test_f2_against_fredholm_at_criterion5_points(hm):
     # criterion 5 gates 1e-8; the solved u supports three decades more
     for t in (-8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0):

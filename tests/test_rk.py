@@ -75,3 +75,97 @@ def test_diff5_exact_on_quartics():
     assert np.max(np.abs(d[:, 1, 1])) < 1e-12
     # five samples: the centered derivative at the middle one
     assert abs(rk.diff5(mats[2:7], h)[2, 1, 0] + slope[4]) < 1e-12
+
+
+def _airy_system(t):
+    M = np.zeros((len(t), 2, 2))
+    M[:, 0, 1] = 1.0
+    M[:, 1, 0] = t
+    return M, None
+
+
+@pytest.mark.parametrize("t0, t1", [(-4.0, 3.0), (3.0, -4.0)])
+def test_solve_linear_airy_both_directions(t0, t1):
+    from scipy.special import airy
+
+    ai0, aip0, _, _ = airy(t0)
+    sol = rk.solve_linear(_airy_system, t0, t1, [ai0, aip0], h_out=0.05)
+    assert sol.t[0] == t0 and sol.t[-1] == t1
+    ai, aip, _, _ = airy(sol.t)
+    assert np.max(np.abs(sol.y[0] - ai) / np.abs(ai).max()) <= 1e-12
+    assert np.max(np.abs(sol.y[1] - aip) / np.abs(aip).max()) <= 1e-12
+    # node derivatives come from M at the nodes: (Ai', t Ai)
+    assert np.max(np.abs(sol.yp[0] - aip)) <= 1e-12 * np.abs(aip).max()
+    assert np.array_equal(sol.yp[1], sol.t * sol.y[0])
+    assert sol.rhs_calls == 16 * sol.steps * (1 + sol.step_shrinks)
+
+
+def test_solve_linear_quadrature_channels():
+    # y' = -y with q' = y (q = 1 - e^-t) and q' = t y
+    def system(t):
+        return np.full((len(t), 1, 1), -1.0), lambda y: [y[0], t * y[0]]
+
+    sol = rk.solve_linear(system, 0.0, 2.0, [1.0], [0.0, 0.0], h_out=0.1)
+    e = np.exp(-sol.t)
+    assert np.max(np.abs(sol.y[0] - e)) < 1e-14
+    assert np.max(np.abs(sol.y[1] - (1 - e))) < 1e-14
+    assert np.max(np.abs(sol.y[2] - (1 - (1 + sol.t) * e))) < 1e-14
+    assert np.array_equal(sol.yp[1:], [sol.y[0], sol.t * sol.y[0]])
+
+
+def _decay_system(lam, passes):
+    def system(t):
+        passes.append(len(t))
+        return np.full((len(t), 1, 1), lam), None
+
+    return system
+
+
+def test_solve_linear_shrinks_the_step():
+    # at h = 0.05, h lam = -1.5 is far too coarse for rtol 1e-13
+    passes = []
+    sol = rk.solve_linear(_decay_system(-30.0, passes), 0.0, 1.0, [1.0], h_out=0.01)
+    assert sol.step_shrinks >= 1
+    assert sol.steps > 20
+    # one system call per pass, one more at the output nodes
+    assert len(passes) == sol.step_shrinks + 2
+    assert sol.rhs_calls == sum(passes[:-1])
+    assert np.max(np.abs(sol.y[0] - np.exp(-30.0 * sol.t))) < 1e-13
+
+
+def test_solve_linear_step_failure_after_bounded_tries(monkeypatch):
+    passes = []
+    monkeypatch.setattr(rk, "MAX_TRIES", 2)
+    with pytest.raises(StepFailure) as exc:
+        rk.solve_linear(_decay_system(-30.0, passes), 0.0, 1.0, [1.0])
+    assert len(passes) == 2
+    assert 0.0 <= exc.value.t <= 1.0
+    # a pass that would exceed the stage budget is not started
+    passes.clear()
+    monkeypatch.setattr(rk, "MAX_STAGE_CALLS", 500)
+    with pytest.raises(StepFailure):
+        rk.solve_linear(_decay_system(-30.0, passes), 0.0, 1.0, [1.0])
+    assert passes == [16 * 20]
+
+
+def test_solve_linear_guard_runs_before_step_control():
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def guard(t, y):
+        seen.append(t)
+        if (y[0] < 0.5).any():
+            raise Stop(t[np.argmax(y[0] < 0.5)])
+
+    passes = []
+    with pytest.raises(Stop) as exc:
+        rk.solve_linear(_decay_system(-30.0, passes), 0.0, 1.0, [1.0], guard=guard)
+    # the coarse first pass would have been rejected: the guard stopped it
+    assert len(passes) == 1
+    # stages and nodes, in integration order; y = 1/2 at t = ln 2 / 30
+    t = seen[0]
+    assert len(t) == 16 * 20 + len(rk._output_nodes(0.0, 1.0, 0.002))
+    assert (np.diff(t) >= 0).all()
+    assert 0.0 < exc.value.args[0] - np.log(2) / 30 < 0.05
