@@ -90,7 +90,7 @@ class IllConditionedFit(TwlabError):
 
 
 class EigenFailure(TwlabError):
-    """Sturm bisection failed to bracket the largest eigenvalue."""
+    """The edge sampler's start failed to lie above the spectrum."""
 
 
 class ParseError(TwlabError):

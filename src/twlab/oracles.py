@@ -3,7 +3,7 @@
 Both oracles avoid every formula of the distribution pipeline: the
 determinant route discretizes the integral operator directly, and the
 sampler realizes the ensemble through its tridiagonal matrix model with
-the largest eigenvalue extracted by Sturm bisection.
+the largest eigenvalue extracted by Laguerre's iteration.
 """
 
 from __future__ import annotations
@@ -30,15 +30,16 @@ _CHUNK = 4096  # matrices per RNG block; sample i of a seed does not depend on c
 
 @dataclass(frozen=True)
 class EdgeSampleSet:
-    """Scaled largest-eigenvalue samples s = sqrt(2) n^{1/6} (lmax - sqrt(2n))."""
+    """Scaled largest-eigenvalue samples s = sqrt(2) n'^{1/6} (lmax - sqrt(2n')),
+    n' = n + 1/2 - 1/beta."""
 
     n: int
     beta: float
     seed: int
     samples: np.ndarray
     lambda_max: np.ndarray
-    block_rows: int      # m: rows of the top-left block that is bisected
-    sturm_rounds: int    # bisection rounds, summed over the 4096-sample blocks
+    block_rows: int       # m: rows of the top-left block that is searched
+    laguerre_rounds: int  # Laguerre passes, summed over the 4096-sample blocks
 
     def export_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -56,7 +57,7 @@ class EdgeSampleSet:
             "count": int(len(self.samples)),
             "seed": self.seed,
             "block_rows": self.block_rows,
-            "sturm_rounds": self.sturm_rounds,
+            "laguerre_rounds": self.laguerre_rounds,
         }
         if ks is not None:
             payload["ks"] = float(ks)
@@ -101,31 +102,78 @@ def _block_rows(n: int) -> int:
     return min(n, math.ceil(15.0 * np.cbrt(n) + 20.0))
 
 
-def _pivots(diag: np.ndarray, off2: np.ndarray, x: np.ndarray, guard: bool):
-    """LDL^T pivots of T - x, one column per sample; with guard, a pivot
-    below 1e-300 in magnitude divides as -1e-300."""
-    piv = diag - x
-    for i in range(1, len(piv)):
-        d = piv[i - 1]
-        if guard:
-            d = np.where(np.abs(d) < 1e-300, -1e-300, d)
-        piv[i] -= off2[i - 1] / d
-    return piv
-
-
-def _all_below(diag: np.ndarray, off2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per sample: are all eigenvalues below x (Sturm count == m)?
+def _laguerre_lambda_max(diag: np.ndarray, off2: np.ndarray) -> tuple[np.ndarray, int]:
+    """Largest eigenvalue of each column's tridiagonal matrix by Laguerre's
+    iteration, and the number of passes over the rows.
 
     diag is (m, k) and off2 is (m - 1, k): one column per sample, so each
-    step of the pivot recurrence reads one contiguous row. The unguarded
-    recurrence is exact whenever no dividing pivot is below the guard; a
-    run with such a pivot (or a NaN) is redone with the guard.
+    step of the pivot recurrence reads one contiguous row. Each column
+    starts at its Gershgorin upper bound. One pass of the LDL^T pivot
+    recurrence of T - x carries d_i, g_i = d_i'/d_i and h_i = d_i''/d_i;
+    with t = off2_{i-1}/d_{i-1}:
+
+        d_i = a_i - x - t,  g_i = (t g_{i-1} - 1)/d_i,
+        h_i = t (h_{i-1} - 2 g_{i-1}^2)/d_i,
+
+    so G = sum g_i = p'/p and L = sum (h_i - g_i^2) = (log p)'' for the
+    characteristic polynomial p. The step m / (G + sqrt((m-1)(-mL - G^2)))
+    moves x down toward lambda_max, monotonically and cubically, because p
+    is real-rooted (Li-Zeng, SIAM J. Sci. Comput. 15, 1994).
+
+    All pivots negative is the Sturm test that x lies above every
+    eigenvalue. On the first pass it checks the Gershgorin start
+    (EigenFailure if it fails). A column stops when its step is at most
+    2 ulps of x, or at a crossing: a pivot that is non-negative (or NaN).
+    In exact arithmetic no iterate reaches lambda_max, so a crossing
+    iterate lies within rounding of it and is kept; the iterate before it
+    is often still ~1e-5 above (about half of a block's columns stop at a
+    crossing). Stopped columns leave the active set.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        piv = _pivots(diag, off2, x, guard=False)
-    if not np.abs(piv[:-1]).min() >= 1e-300:
-        piv = _pivots(diag, off2, x, guard=True)
-    return piv.max(axis=0) < 0
+    m = len(diag)
+    off = np.sqrt(off2)
+    x = diag.copy()
+    x[:-1] += off
+    x[1:] += off
+    x = x.max(axis=0)
+    active = np.arange(diag.shape[1])
+    a, b2 = diag, off2
+    passes = 0
+    while active.size:
+        xa = x[active]
+        t, g, h, G, L = (np.zeros_like(xa) for _ in range(5))
+        d, rd, u = (np.empty_like(xa) for _ in range(3))
+        dmax = np.full_like(xa, -np.inf)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(m):
+                if i:
+                    np.multiply(b2[i - 1], rd, out=t)
+                np.subtract(a[i], xa, out=d)
+                d -= t
+                np.maximum(dmax, d, out=dmax)
+                np.divide(1.0, d, out=rd)
+                np.multiply(g, g, out=u)  # h_i from h_{i-1}, g_{i-1}
+                h -= u
+                h -= u
+                h *= t
+                h *= rd
+                g *= t  # then g_i
+                g -= 1.0
+                g *= rd
+                G += g
+                L += h
+                np.multiply(g, g, out=u)
+                L -= u
+            step = m / (G + np.sqrt(np.maximum((m - 1) * (-m * L - G * G), 0.0)))
+        above = dmax < 0
+        if passes == 0 and not above.all():
+            raise EigenFailure("Gershgorin bound failed to lie above the spectrum")
+        passes += 1
+        move = above & (step > 2.0 * np.spacing(np.abs(xa)))
+        x[active[move]] = (xa - step)[move]
+        if not move.all():
+            active = active[move]
+            a, b2 = a[:, move], b2[:, move]
+    return x, passes
 
 
 def sample_edge(n: int, beta: float, count: int, seed: int) -> EdgeSampleSet:
@@ -144,11 +192,13 @@ def sample_edge(n: int, beta: float, count: int, seed: int) -> EdgeSampleSet:
     math-ph/0501068); at n = 100, 400 and 800 it equals the full
     matrix's to <= 1e-10 (m = 80 at n = 400 would miss by 1e-9).
 
-    Bisection on Sturm counts starts from the full matrix's Gershgorin
-    bracket. It stops at the fixed point, once every midpoint equals an
-    end of its bracket (adjacent floats, about 54 rounds): no further
-    round can move either end, so the result is that of the 70-round cap.
-    `block_rows` (m) and `sturm_rounds` record the work done.
+    lambda_max comes from Laguerre's iteration on all of a block's
+    columns at once (`_laguerre_lambda_max`, 7-11 passes).
+    `block_rows` (m) and `laguerre_rounds` (passes, summed over blocks)
+    record the work done.
+
+    The scaling centres at sqrt(2 n') with n' = n + 1/2 - 1/beta, which
+    removes the O(n^(-1/3)) bias of the mean (n' = n at beta = 2).
     """
     if n < 50:
         raise BadInterval("sample_edge: n >= 50 required")
@@ -163,33 +213,21 @@ def sample_edge(n: int, beta: float, count: int, seed: int) -> EdgeSampleSet:
     while done < count:
         take = min(_CHUNK, count - done)
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        diag = rng.normal(0.0, np.sqrt(1.0 / beta), size=(take, n))
-        off2 = rng.chisquare(beta * k, size=(take, n - 1)) / (2.0 * beta)
-        radius = np.zeros_like(diag)  # Gershgorin: |off_{i-1}| + |off_i|
-        np.sqrt(off2, out=radius[:, :-1])
-        radius[:, 1:] += radius[:, :-1]  # ufuncs buffer overlapping operands
-        hi = (diag + radius).max(axis=1)
-        lo = np.subtract(diag, radius, out=radius).min(axis=1)
-        diag_m = np.ascontiguousarray(diag[:, :m].T)
-        off2_m = np.ascontiguousarray(off2[:, : m - 1].T)
-        del diag, off2, radius
-        if not np.all(_all_below(diag_m, off2_m, hi + 1.0)):
-            raise EigenFailure("Gershgorin bracket failed to contain the spectrum")
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            if np.all((mid == lo) | (mid == hi)):
-                break
-            below = _all_below(diag_m, off2_m, mid)
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-            rounds += 1
-        lam[done : done + take] = 0.5 * (lo + hi)
+        diag = np.ascontiguousarray(
+            rng.normal(0.0, np.sqrt(1.0 / beta), size=(take, n))[:, :m].T
+        )
+        off2 = np.ascontiguousarray(
+            rng.chisquare(beta * k, size=(take, n - 1))[:, : m - 1].T
+        ) / (2.0 * beta)
+        lam[done : done + take], passes = _laguerre_lambda_max(diag, off2)
+        rounds += passes
         done += take
         chunk_index += 1
-    scaled = np.sqrt(2.0) * n ** (1.0 / 6.0) * (lam - np.sqrt(2.0 * n))
+    n_eff = n + 0.5 - 1.0 / beta
+    scaled = np.sqrt(2.0) * n_eff ** (1.0 / 6.0) * (lam - np.sqrt(2.0 * n_eff))
     return EdgeSampleSet(
         n=int(n), beta=float(beta), seed=int(seed), samples=scaled,
-        lambda_max=lam, block_rows=m, sturm_rounds=rounds,
+        lambda_max=lam, block_rows=m, laguerre_rounds=rounds,
     )
 
 

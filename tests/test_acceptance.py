@@ -176,6 +176,15 @@ def test_criterion_8_monte_carlo(hm, aux_lin, fredholm_table):
               f"seed={RECORDED_SEED}, {elapsed:.0f}s")
 
 
+def test_criterion_8_beta6_other_seeds(hm, aux_lin):
+    """Criterion 8's beta = 6 bound holds away from the recorded seed too."""
+    table6 = distribution.tabulate(hm, aux_lin, 6, np.linspace(-4.5, 3.5, 401))
+    ks6 = [oracles.ks_distance(oracles.sample_edge(400, 6.0, 20000, seed), table6.cdf)
+           for seed in range(1, 6)]
+    print(f"KS(beta=6) at seeds 1-5: {np.round(ks6, 4).tolist()}")
+    assert max(ks6) <= 0.03
+
+
 def test_criterion_9_constant_report(hm, hm_deep, aux_deep):
     """Exploratory, non-gating: extracted constants vs the closed form."""
     coef2 = tuple(float(x) for x in asymptotics.exact_tail_coefficients(Fraction(2)))

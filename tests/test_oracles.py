@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from twlab import oracles
-from twlab.errors import BadInterval
+from twlab.errors import BadInterval, EigenFailure
 
 
 def test_fredholm_empty_spectrum_limit():
@@ -64,16 +65,21 @@ def test_block_rows_rule():
     assert [oracles._block_rows(n) for n in (100, 400, 800, 1000)] == [90, 131, 160, 170]
 
 
-@pytest.mark.parametrize("n", [100, 400, 800])
-@pytest.mark.parametrize("beta", [1.0, 2.0, 6.0])
-def test_truncated_sampler_matches_full_matrix(n, beta):
-    # rebuild block 0 of the stream and take LAPACK's largest eigenvalue
-    # of the full n x n matrix
-    count, seed = 256, 4321
-    s = oracles.sample_edge(n, beta, count, seed)
+def _draw_block(n, beta, count, seed):
+    # block 0 of the sampler's stream, one row per matrix
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     diag = rng.normal(0.0, np.sqrt(1.0 / beta), size=(count, n))
     off2 = rng.chisquare(beta * np.arange(n - 1, 0, -1), size=(count, n - 1)) / (2.0 * beta)
+    return diag, off2
+
+
+@pytest.mark.parametrize("n", [100, 400, 800])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 6.0])
+def test_truncated_sampler_matches_full_matrix(n, beta):
+    # LAPACK's largest eigenvalue of the full n x n matrix
+    count, seed = 256, 4321
+    s = oracles.sample_edge(n, beta, count, seed)
+    diag, off2 = _draw_block(n, beta, count, seed)
     full = np.array([
         eigvalsh_tridiagonal(diag[j], np.sqrt(off2[j]), select="i",
                              select_range=(n - 1, n - 1))[0]
@@ -81,41 +87,114 @@ def test_truncated_sampler_matches_full_matrix(n, beta):
     ])
     assert np.max(np.abs(s.lambda_max - full)) <= 1e-10
     assert s.block_rows == oracles._block_rows(n)
-    assert 50 <= s.sturm_rounds <= 70
+    assert 7 <= s.laguerre_rounds <= 10
 
 
-def _count_below_guarded(diag, off2, x):
-    # textbook Sturm count of one matrix with the 1e-300 pivot guard
-    d = diag[0] - x
-    cnt = int(d < 0)
+def _reference_bisection(diag, off2, m):
+    # the bisection sampler that Laguerre's iteration replaced: Sturm counts
+    # of the top-left m rows, bracketed by the full matrix's Gershgorin
+    # discs, run to the fixed point; the 1e-300 pivot guard is kept
+    def all_below(x, guard):
+        piv = diag_m - x
+        for i in range(1, m):
+            d = piv[i - 1]
+            if guard:
+                d = np.where(np.abs(d) < 1e-300, -1e-300, d)
+            piv[i] -= off2_m[i - 1] / d
+        return piv
+
+    def below(x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            piv = all_below(x, guard=False)
+        if not np.abs(piv[:-1]).min() >= 1e-300:
+            piv = all_below(x, guard=True)
+        return piv.max(axis=0) < 0
+
+    radius = np.zeros_like(diag)
+    radius[:, :-1] = np.sqrt(off2)
+    radius[:, 1:] += radius[:, :-1].copy()
+    hi = (diag + radius).max(axis=1)
+    lo = (diag - radius).min(axis=1)
+    diag_m = np.ascontiguousarray(diag[:, :m].T)
+    off2_m = np.ascontiguousarray(off2[:, : m - 1].T)
+    assert below(hi + 1.0).all()
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        inside = below(mid)
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [100, 400, 800])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 6.0])
+def test_laguerre_matches_reference_bisection(n, beta):
+    count, seed = 1024, 99
+    s = oracles.sample_edge(n, beta, count, seed)
+    ref = _reference_bisection(*_draw_block(n, beta, count, seed), oracles._block_rows(n))
+    assert np.max(np.abs(s.lambda_max - ref)) <= 1e-13
+
+
+def _pivots(diag, off2, x):
+    # textbook LDL^T pivots of T - x for one matrix
+    d = [diag[0] - x]
     for i in range(1, len(diag)):
-        if abs(d) < 1e-300:
-            d = -1e-300
-        d = diag[i] - x - off2[i - 1] / d
-        cnt += d < 0
-    return cnt
+        d.append(diag[i] - x - off2[i - 1] / d[-1])
+    return np.array(d)
 
 
-def test_all_below_tiny_pivots():
-    # columns 0 and 1 hit an exactly zero pivot (rows 0 and 1); in column 2
-    # the guard turns the subnormal pivot -1e-310 into -1e-300, which flips
-    # the answer; the rest are random
+def _lapack_max(diag, off2):
+    return eigvalsh_tridiagonal(diag, np.sqrt(off2))[-1]
+
+
+def test_laguerre_tiny_pivots_and_crossings():
+    # an iterate that lands exactly on lambda_max: [[2, 2], [2, -1]] has
+    # eigenvalues 3 and -2, Laguerre is exact on a quadratic, and at x = 3
+    # the last pivot is exactly zero
+    lam, passes = oracles._laguerre_lambda_max(np.array([[2.0], [-1.0]]), np.array([[4.0]]))
+    assert _pivots([2.0, -1.0], [4.0], lam[0]).tolist() == [-1.0, 0.0]
+    assert lam[0] == 3.0 and passes == 2
+    # a subnormal diagonal whose off-diagonal^2 is 1e-300: lambda_max is
+    # about 5e-301, and x = 0 lies below it although the pivot -1e-310 is
+    # negative, because the next pivot is about +1e10
+    diag = np.array([-1e-310, -2.0, -5.0, -5.0, -5.0, -5.0])
+    off2 = np.array([1e-300, 1.0, 1.0, 1.0, 1.0])
+    lam, _ = oracles._laguerre_lambda_max(diag[:, None], off2[:, None])
+    assert abs(lam[0] - _lapack_max(diag, off2)) <= 4 * np.spacing(5.0)
+    # random columns, the second half with a negative spectrum: about half
+    # of them stop at a crossing, an iterate on or below lambda_max (a
+    # non-negative pivot)
     rng = np.random.default_rng(3)
     m, k = 6, 40
-    diag = rng.normal(size=(m, k))
+    diag = rng.normal(size=(m, k)) - np.repeat([0.0, 10.0], k // 2)
     off2 = rng.chisquare(4.0, size=(m - 1, k))
-    x = rng.normal(scale=3.0, size=k)
-    x[0] = diag[0, 0]
-    x[1], diag[:2, 1], off2[0, 1] = 0.5, 1.5, 1.0
-    x[2], diag[:, 2], off2[:, 2] = 0.0, [-1e-310, -2.0, -5, -5, -5, -5], 1.0
-    off2[0, 2] = 1e-300
-    got = oracles._all_below(diag, off2, x)
-    want = [_count_below_guarded(diag[:, j], off2[:, j], x[j]) == m for j in range(k)]
-    assert want[2]
-    assert got.tolist() == want
-    eig = [eigvalsh_tridiagonal(diag[:, j], np.sqrt(off2[:, j]))[-1] for j in range(k)]
-    for j in range(3, k):
-        assert got[j] == (eig[j] < x[j])
+    lam, _ = oracles._laguerre_lambda_max(diag, off2)
+    crossed = 0
+    for j in range(k):
+        scale = np.abs(diag[:, j]).max() + 2 * np.sqrt(off2[:, j]).max()
+        assert abs(lam[j] - _lapack_max(diag[:, j], off2[:, j])) <= 4 * np.spacing(scale)
+        crossed += _pivots(diag[:, j], off2[:, j], lam[j]).max() >= 0
+    assert crossed > 0
+
+
+def test_laguerre_start_must_lie_above_spectrum():
+    # [[0, 1], [1, 0]]: the Gershgorin bound 1 is the top eigenvalue itself
+    with pytest.raises(EigenFailure):
+        oracles._laguerre_lambda_max(np.zeros((2, 1)), np.ones((1, 1)))
+
+
+def test_sampler_block_memory():
+    # one 4096-sample block at n = 400 keeps only the 131-row block of
+    # the stream past its draw
+    tracemalloc.start()
+    try:
+        oracles.sample_edge(400, 6.0, 4096, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_sampler_preconditions():
@@ -185,4 +264,4 @@ def test_exports(tmp_path):
     s.export_summary(js, ks=0.01)
     summary = json.load(open(js))
     assert summary["ks"] == 0.01
-    assert summary["block_rows"] == 60 and summary["sturm_rounds"] == s.sturm_rounds
+    assert summary["block_rows"] == 60 and summary["laguerre_rounds"] == s.laguerre_rounds
