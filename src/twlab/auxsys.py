@@ -77,10 +77,7 @@ class AuxSolution:
     # --- channel accessors (dense, cubic Hermite) ---
     def delta_at(self, t):
         """1 + q2, cancellation-free near the t_start fixed point."""
-        y = self.table(t)
-        if self.route == "linear":
-            return 2 * y[0] / (y[0] - y[1])
-        return y[0]
+        return self._delta(self.table(t))
 
     def q2_at(self, t):
         y = self.table(t)
@@ -89,16 +86,25 @@ class AuxSolution:
         return y[0] - 1.0
 
     def alpha_at(self, t):
-        y = self.table(t)
+        u, ut, _ = self.hm.eval(t) if self.route == "linear" else (None,) * 3
+        return self._alpha(self.table(t), u, ut)
+
+    def log_kappa_at(self, t):
+        return self._log_kappa(self.table(t))
+
+    # the channels from table rows y (and, for alpha on the linear route,
+    # u and u' at the same t), so that one lookup can serve all three
+    def _delta(self, y):
+        return 2 * y[0] / (y[0] - y[1]) if self.route == "linear" else y[0]
+
+    def _alpha(self, y, u, ut):
         if self.route == "linear":
-            u, ut, _ = self.hm.eval(t)
             lu = ut / u
             chi = y[0] - y[1]
             return y[2] / chi - lu * y[0] / chi
         return y[1]
 
-    def log_kappa_at(self, t):
-        y = self.table(t)
+    def _log_kappa(self, y):
         return y[3] if self.route == "linear" else y[2]
 
     def integrals_from_start(self, t):
@@ -122,10 +128,17 @@ class AuxSolution:
         return [t for t, name in self.diagnostics if name == "q2-zero"]
 
 
-def _first(t, flagged):
-    """First flagged t on a backward route (the largest). The route RHS
-    sees scalars inside a step and arrays at the output nodes."""
-    return float(np.max(np.where(flagged, t, -np.inf)))
+def _check_blowup(t, d, al):
+    """Raise BlowUp at the first t (on a backward route, the largest) where
+    |delta| or |alpha| passes BLOWUP_GUARD. The route RHS sees floats
+    inside a step and arrays in the dense-output stages and at the nodes."""
+    if isinstance(t, float):
+        if abs(d) > BLOWUP_GUARD or abs(al) > BLOWUP_GUARD:
+            raise BlowUp(t)
+        return
+    blown = np.maximum(abs(d), abs(al)) > BLOWUP_GUARD
+    if blown.any():
+        raise BlowUp(float(np.max(np.where(blown, t, -np.inf))))
 
 
 def _q2_zero_events(aux):
@@ -258,27 +271,9 @@ def integrate_nonlinear(
         raise BadInterval("integrate_nonlinear: [t_end, t_start] not inside hm range")
     f = painleve2.fast_eval(hm)
     lam = b_constraint_scale
-
-    def rhs(t, y):
-        u, ut, om = f(t)
-        lu = ut / u
-        d, al = y[0], y[1]
-        blown = np.maximum(abs(d), abs(al)) > BLOWUP_GUARD
-        if blown.any():
-            raise BlowUp(_first(t, blown))
-        ddot = 2.0 * (1.0 - lam) * al * (d - 1.0) + lu * d - (lam / 2.0) * lu * d * d
-        aldot = (
-            al * ((2.0 / 3.0) * al + lu * (3.0 - d) / 3.0)
-            - (t / 6.0) * d
-            - (u * u / 3.0) * (2.0 + d)
-        )
-        q2 = d - 1.0
-        lkdot = -om / 3.0 - 2.0 * al / 3.0 - lu * (1.0 - 2.0 * q2) / 6.0
-        return [ddot, aldot, lkdot]
-
     u_start = f(t_start)[0]
     sol = solve_rk(
-        rhs,
+        _nonlinear_rhs(f, lam),
         t_start,
         t_end,
         [0.0, 0.0, -0.5 * np.log(u_start)],
@@ -299,6 +294,30 @@ def integrate_nonlinear(
     )
     aux.diagnostics = _q2_zero_events(aux)
     return aux
+
+
+def _nonlinear_rhs(f, lam):
+    """The nonlinear route's RHS in (delta, alpha, log kappa), with f =
+    painleve2.fast_eval(hm) and lam the b-constraint scale. Inside a step
+    it sees float t and a list y and does float arithmetic only; in the
+    dense-output stages and at the nodes it sees arrays."""
+
+    def rhs(t, y):
+        u, ut, om = f(t)
+        lu = ut / u
+        d, al = y[0], y[1]
+        _check_blowup(t, d, al)
+        ddot = 2.0 * (1.0 - lam) * al * (d - 1.0) + lu * d - (lam / 2.0) * lu * d * d
+        aldot = (
+            al * ((2.0 / 3.0) * al + lu * (3.0 - d) / 3.0)
+            - (t / 6.0) * d
+            - (u * u / 3.0) * (2.0 + d)
+        )
+        q2 = d - 1.0
+        lkdot = -om / 3.0 - 2.0 * al / 3.0 - lu * (1.0 - 2.0 * q2) / 6.0
+        return [ddot, aldot, lkdot]
+
+    return rhs
 
 
 def compute_log_kappa(aux: AuxSolution, hm: painleve2.Painleve2Solution) -> AuxSolution:
@@ -403,6 +422,14 @@ def _dd_div(x, y):
     return q, (r[0] + r[1]) / y[0]
 
 
+def _pow(x, n):
+    """x**n by the C library's pow, as a float computes it, also elementwise
+    for an array: numpy's array power rounds differently."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
+    return x**n
+
+
 def params_from_state(
     t: float,
     u: float,
@@ -423,19 +450,23 @@ def params_from_state(
     it directly, which keeps the 0/0 limits of the e-parameters accurate.
     Derivative-bearing entries (a, d, b, c, U) use the supplied derivatives
     when given, else the constraint closed forms.
+
+    The inputs may be floats or arrays of one shape; arrays give a
+    LaxParams of arrays, by the same elementwise operations, so that each
+    element equals the float call bitwise.
     """
     if delta_q2 is None:
         if q2 is None:
             raise BadInterval("params_from_state: give q2 or delta_q2")
         delta_q2 = 1.0 + q2
-    dq = float(delta_q2)
+    dq = delta_q2 if isinstance(delta_q2, np.ndarray) else float(delta_q2)
     q2 = dq - 1.0
     one_m = dq * (2.0 - dq)          # 1 - q2^2
-    one_minus = 2.0 - dq             # 1 - q2
-    if abs(one_m) < 1e-280:
+    if np.any(abs(one_m) < 1e-280):
         raise DegenerateQ2(f"1 - q2^2 vanishes at q2={q2}")
     lu = ut / u
-    omega = u**4 + t * u**2 - ut**2
+    alpha2 = _pow(alpha, 2)
+    omega = _pow(u, 4) + t * _pow(u, 2) - _pow(ut, 2)
     delta = -t / 2.0 - u * u
     # q1 and e1 as (hi, lo) pairs: r1 and r2 are sensitive to their
     # rounding (see eval_r_and_integrals); hi is the float64 value
@@ -448,8 +479,8 @@ def params_from_state(
         _dd_div(_dd_mul((-lu, 0.0), dq_), one_minus_),
     )
     q0 = 2 * alpha * lu - 2 * delta
-    e2 = (4.0 / one_m) * (-(alpha**2) + u * u + dq * delta - dq * alpha * lu)
-    e3 = -(4.0 / one_m) * (-2 * alpha * delta + alpha**2 * lu + ut * u + dq / 2.0)
+    e2 = (4.0 / one_m) * (-alpha2 + u * u + dq * delta - dq * alpha * lu)
+    e3 = -(4.0 / one_m) * (-2 * alpha * delta + alpha2 * lu + ut * u + dq / 2.0)
     if q2_t is None:
         q2_t = q2 * ((2.0 / 3.0) * alpha + lu * (2 - q2) / 3.0) + lu * (2 - q2) / 3.0
     if alpha_t is None:
@@ -463,7 +494,7 @@ def params_from_state(
     a = kappa_t_over_kappa + lu / 2.0 + alpha
     d = kappa_t_over_kappa - lu / 2.0 - alpha - 2 * q2 * q2_t / one_m
     b = (4.0 / one_m) * (-alpha * q2 + q2_t / 2.0 - lu * dq / 2.0)
-    c = (4.0 / one_m) * (alpha**2 - u * u - alpha_t + alpha * lu)
+    c = (4.0 / one_m) * (alpha2 - u * u - alpha_t + alpha * lu)
     U = 3.0 * (a + d) - t * t / 2.0
     return LaxParams(
         t=t, u=u, ut=ut, omega=omega, q2=q2, alpha=alpha, kappa_log=kappa_log,
@@ -484,25 +515,41 @@ def reconstruct_params(
     mode 'fd' (default) takes q2_t, alpha_t, and (log kappa)_t from
     5-point finite differences of the dense trajectory, which keeps every
     downstream identity check independent of the constraint equations;
-    mode 'ode' substitutes the constraint closed forms.
+    mode 'ode' substitutes the constraint closed forms. hm is the
+    solution aux was integrated on. One aux.table and one hm lookup serve
+    t and its stencil.
     """
-    u, ut, omega = hm.eval(t)
-    dq = float(aux.delta_at(t))
-    alpha = float(aux.alpha_at(t))
-    klog = float(aux.log_kappa_at(t))
-    kwargs = {}
+    return _params_at(aux, hm, np.array([float(t)]), mode, h)[0]
+
+
+def _params_at(aux, hm, ts, mode, h):
+    """reconstruct_params at each t of the array ts, from one aux.table and
+    one hm lookup of all the stencil points: a list of LaxParams. The
+    parameters are built by float calls, which at up to five points cost
+    less than one array call of params_from_state."""
     if mode == "fd":
-        stencil = t + h * np.arange(-2.0, 3.0)
-        kwargs = dict(
-            q2_t=float(diff5(aux.delta_at(stencil), h)[2]),
-            alpha_t=float(diff5(aux.alpha_at(stencil), h)[2]),
-            kappa_t_over_kappa=float(diff5(aux.log_kappa_at(stencil), h)[2]),
-        )
-    elif mode != "ode":
+        points = ts[:, None] + h * np.arange(-2.0, 3.0)     # column 2 is ts
+    elif mode == "ode":
+        points = ts[:, None]
+    else:
         raise BadInterval(f"unknown reconstruction mode {mode!r}")
-    return params_from_state(
-        t, float(u), float(ut), alpha=alpha, delta_q2=dq, kappa_log=klog, **kwargs
-    )
+    y = aux.table(points.ravel())
+    u, ut, _ = hm.eval(points.ravel())
+    # delta, alpha, log kappa, u, u', shape (5, len(ts), stencil)
+    rows = np.array([aux._delta(y), aux._alpha(y, u, ut), aux._log_kappa(y), u, ut])
+    rows = rows.reshape(5, *points.shape)
+    dq, alpha, klog, u, ut = rows[:, :, points.shape[1] // 2].tolist()
+    rates = [{}] * len(ts)
+    if mode == "fd":
+        rates = [
+            dict(zip(("q2_t", "alpha_t", "kappa_t_over_kappa"), r))
+            for r in diff5(rows[:3].T, h)[2].tolist()
+        ]
+    return [
+        params_from_state(t, u[i], ut[i], alpha=alpha[i], delta_q2=dq[i],
+                          kappa_log=klog[i], **rates[i])
+        for i, t in enumerate(ts.tolist())
+    ]
 
 
 def eval_r_and_integrals(params: LaxParams) -> RIntegrals:
@@ -637,13 +684,13 @@ def compatibility_residuals(
     h: float = 5e-4,
 ) -> dict[str, float]:
     """|dX/dt - RHS| for the six compatibility equations, X reconstructed
-    on a 5-point stencil with finite differences."""
-    stencil = [reconstruct_params(aux, hm, t + k * h, mode="fd") for k in range(-2, 3)]
+    on a 5-point stencil with finite differences. The five reconstructions
+    and their own stencils come from one aux.table and one hm lookup."""
+    stencil = _params_at(aux, hm, t + h * np.arange(-2.0, 3.0), "fd", h)
     p = stencil[2]
-    lhs = {
-        name: float(diff5(np.array([getattr(s, name) for s in stencil]), h)[2])
-        for name in ("e1", "e2", "e3", "q0", "q1", "q2")
-    }
+    names = ("e1", "e2", "e3", "q0", "q1", "q2")
+    rates = diff5(np.array([[getattr(s, name) for name in names] for s in stencil]), h)
+    lhs = dict(zip(names, rates[2].tolist()))
     one = p.q2 * p.q2 - 1.0
     rhs = {
         "e1": (p.b - p.e1) * (p.q2 * p.e1 - p.q1) + p.q2 * (p.c + p.e2) - p.q0,

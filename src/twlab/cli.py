@@ -346,6 +346,7 @@ def _cmd_verify_pde(cfg, man):
         "residual_coarse": r2,
         "richardson_ratio": r2 / r1,
         "negative_control_residual": rb,
+        "negative_control_work": _aux_work(aux_bad),
         "inflation": rb / r1,
         "grid_step": step,
         "sweep_substeps": fld.substeps,

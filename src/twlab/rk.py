@@ -1,23 +1,27 @@
 """The shared numerical kernels: ODE integration, table lookup, differences.
 
-One method, two integrators. Every ODE here is integrated by DOP853, the
-explicit 8(5,3) Runge-Kutta pair of Dormand and Prince with its 7th-order
-dense output (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.10), in
-float64, and sampled at uniformly spaced output nodes.
+One DOP853, two ways to advance it. Every ODE here is integrated by
+DOP853, the explicit 8(5,3) Runge-Kutta pair of Dormand and Prince with
+its 7th-order dense output (Hairer, Norsett and Wanner, Solving ODEs I,
+sec. II.4 and II.10), in float64 with scipy's coefficients, and sampled
+at uniformly spaced output nodes. Both ways share the error norm
+(_error_norm) and the dense output (_dense_output).
 
-solve_rk runs scipy's adaptive DOP853 on a general y' = f(t, y): one RHS
-call per stage, with scipy's step control. It serves the systems that are
-not linear: the nonlinear auxiliary route and the log kappa recomputation.
+solve_rk steps a general y' = f(t, y) adaptively, with scipy's step
+control: one RHS call per stage inside the step loop, then the three
+dense-output stages of all accepted steps in one array call. It serves
+the systems that are not linear: the nonlinear auxiliary route and the
+log kappa recomputation.
 
-solve_linear takes the same tableau (scipy's own coefficients) to
-y' = M(t) y with quadratures q' = g(t, y) that do not feed back. There one
-DOP853 step is a d x d matrix and every stage state a d x d map applied to
-the state at the step's start, so a pass builds the maps of all steps at
-once from M at all stage times, then advances the state by one matrix
-product per step. The step is uniform; when DOP853's own error estimate
-exceeds 1 anywhere, the whole pass is redone with a smaller step. It
-serves the linear auxiliary route, ~7x faster than stepping it stage by
-stage, and the determinant window of the x-equation.
+solve_linear takes y' = M(t) y with quadratures q' = g(t, y) that do not
+feed back. There one DOP853 step is a d x d matrix and every stage state
+a d x d map applied to the state at the step's start, so a pass builds
+the maps of all steps at once from M at all stage times, then advances
+the state by one matrix product per step. The step is uniform; when
+DOP853's own error estimate exceeds 1 anywhere, the whole pass is redone
+with a smaller step. It serves the linear auxiliary route, ~7x faster
+than stepping it stage by stage, and the determinant window of the
+x-equation.
 
 HermiteTable is the one cubic Hermite interpolant every table uses (the
 Hastings-McLeod table, the auxiliary trajectory, the CDF table): node
@@ -27,10 +31,10 @@ first-derivative stencil.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .errors import BadInterval, OutOfRange, StepFailure
@@ -47,6 +51,19 @@ MAX_TRIES = 4
 # maps in memory, so this also bounds its size (the auxiliary route takes
 # ~17000)
 MAX_STAGE_CALLS = 100_000
+
+# solve_rk's step control, scipy's for DOP853: the step factor is
+# SAFETY err^(-1/8), clamped to [MIN_FACTOR, MAX_FACTOR]
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 8.0
+N_STAGES = dop853.N_STAGES                    # 12; stage 12 is f at the step end
+N_STAGES_EXTENDED = dop853.N_STAGES_EXTENDED  # 16, with the dense-output stages
+_A = [dop853.A[s, :s].copy() for s in range(N_STAGES_EXTENDED)]
+_C = dop853.C.tolist()
+_E5 = dop853.E5[None]
+_E3 = dop853.E3[None]
 
 
 @dataclass
@@ -124,7 +141,8 @@ class HermiteTable:
         tq = np.asarray(tq, dtype=np.float64)
         if not ((tq >= self._lo) & (tq <= self._hi)).all():
             raise OutOfRange(f"t outside table [{self.t[0]}, {self.t[-1]}]")
-        i = np.clip(((tq - self._t0) / self.h).astype(int), 0, self._imax)
+        # in range, the index is >= 0 already (truncation toward zero)
+        i = np.minimum(((tq - self._t0) / self.h).astype(int), self._imax)
         s = np.where(tq == self.t[i + 1], 1.0, (tq - self.t[i]) / self.h)
         return i, s
 
@@ -172,46 +190,123 @@ def solve_rk(
     h_out: float = 0.002,
     max_rhs_calls: int = 100_000,
 ) -> RkSolution:
-    """Integrate y' = f(t, y) from t0 to t1, output every ~h_out.
+    """Integrate y' = f(t, y) from t0 to t1 by adaptive DOP853, output
+    every ~h_out.
 
-    f takes a scalar t with y of shape (dim,) inside a step, and the node
-    array with y of shape (dim, nodes) for the output derivatives.
-    rtol below RTOL_FLOOR is raised to it. Raises StepFailure at the t
-    where the integrator stopped when it fails or its steps need more than
-    max_rhs_calls RHS calls. The default budget is over ten times what an
-    auxiliary route over [-11, 12] takes (~7500); near a singularity
-    whose RHS is dominated by roundoff the steps shrink to a few ulps of t
-    without failing, and the budget is what stops them.
+    Inside a step f takes a float t and y as a list of floats (the stage
+    state), so that a RHS written on plain floats does no numpy scalar
+    work; a stage whose float arithmetic fails (ArithmeticError, such as
+    an overflowing power) counts as non-finite and fails the error test.
+    The three dense-output stages of all accepted steps and the output
+    derivatives come from f's array form: t of shape (k,) with y of shape
+    (dim, k).
+
+    The step control is scipy's DOP853 (its select_initial_step, safety
+    0.9, step factors in [0.2, 10] with exponent -1/8, no growth right
+    after a rejection), with steps capped at MAX_STEP; rhs_calls counts
+    as scipy's nfev does, two start-up calls plus 12 per attempted and 3
+    per accepted step. rtol below RTOL_FLOOR is raised to it. Raises
+    StepFailure at the t where the integrator stopped: when a step falls
+    below 10 ulps of t, when the end state is not finite, or when the
+    next step would take the RHS calls past max_rhs_calls. The default
+    budget is over ten times what an auxiliary route over [-11, 12] takes
+    (~7500); near a singularity whose RHS is dominated by roundoff the
+    steps shrink to a few ulps of t without failing, and the budget is
+    what stops them.
     """
-    nodes = _output_nodes(t0, t1, h_out)
-    calls = 0
-    t_last = float(t0)
+    if t1 == t0:
+        raise BadInterval("solve_rk: empty interval")
+    t0, t1 = float(t0), float(t1)
+    rtol = max(rtol, RTOL_FLOOR)
+    direction = 1.0 if t1 > t0 else -1.0
+    dim = len(y0)
 
-    def counted(t, y):
-        nonlocal calls, t_last
-        calls += 1
-        if calls > max_rhs_calls:
-            raise StepFailure(t_last, f"solve_rk: step budget exhausted near t={t_last}")
-        t_last = t
-        return f(t, y)
+    def stage(t, y):
+        try:
+            return f(t, y.tolist())
+        except ArithmeticError:
+            return [math.nan] * dim
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = solve_ivp(
-            counted,
-            (t0, t1),
-            np.asarray(y0, dtype=np.float64),
-            method="DOP853",
-            rtol=max(rtol, RTOL_FLOOR),
-            atol=atol,
-            max_step=MAX_STEP,
-            dense_output=True,
-        )
-    t_stop = float(res.t[-1])
-    if res.status != 0 or not np.all(np.isfinite(res.y[:, -1])):
-        raise StepFailure(t_stop, f"solve_rk: {res.message} near t={t_stop}")
-    y = res.sol(nodes)
-    yp = np.asarray(f(nodes, y), dtype=np.float64)
-    return RkSolution(t=nodes, y=y, yp=yp, rhs_calls=res.nfev, steps=len(res.t) - 1)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        y = np.asarray(y0, dtype=np.float64)
+        K = np.empty((N_STAGES + 1, dim))
+        K[0] = stage(t0, y)
+        h_abs = _initial_step(stage, t0, t1, y, K[0], direction, rtol, atol)
+        calls = 2
+        t = t0
+        starts, states, stages = [t0], [y], []
+        while direction * (t - t1) < 0:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = min(max(h_abs, min_step), MAX_STEP)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StepFailure(t, f"solve_rk: step size below 10 ulps near t={t}")
+                calls += N_STAGES
+                if calls + 3 * (len(stages) + 1) > max_rhs_calls:
+                    raise StepFailure(t, f"solve_rk: step budget exhausted near t={t}")
+                t_new = t + h_abs * direction
+                if direction * (t_new - t1) > 0:
+                    t_new = t1
+                h = t_new - t
+                h_abs = abs(h)
+                for s in range(1, N_STAGES + 1):
+                    y_new = y + np.dot(K[:s].T, _A[s]) * h
+                    K[s] = stage(t + _C[s] * h, y_new)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err = float(_error_norm(K, h, scale))
+                if err < 1.0:
+                    factor = MAX_FACTOR if err == 0 else min(
+                        MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1.0, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                rejected = True
+            stages.append(K.copy())
+            starts.append(t_new)
+            states.append(y_new)
+            t, y = t_new, y_new
+            K[0] = K[N_STAGES]
+        if not np.all(np.isfinite(y)):
+            raise StepFailure(t, f"solve_rk: non-finite state near t={t}")
+        ts = np.array(starts)
+        z = np.array(states)
+        h = np.diff(ts)[:, None]
+        k = np.empty((N_STAGES_EXTENDED, len(h), dim))
+        k[:N_STAGES + 1] = np.array(stages).transpose(1, 0, 2)
+        for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
+            ys = z[:-1] + np.tensordot(_A[s], k[:s], axes=1) * h
+            k[s] = np.asarray(f(ts[:-1] + _C[s] * h[:, 0], ys.T), dtype=np.float64).T
+        calls += 3 * len(h)
+        nodes = _output_nodes(t0, t1, h_out)
+        n = np.clip(np.searchsorted(direction * ts, direction * nodes) - 1, 0, len(h) - 1)
+        out = _dense_output(z, k, h, n, (nodes - ts[n]) / h[n, 0])
+        yp = np.asarray(f(nodes, out), dtype=np.float64)
+    return RkSolution(t=nodes, y=out, yp=yp, rhs_calls=calls, steps=len(h))
+
+
+def _initial_step(stage, t0, t1, y0, f0, direction, rtol, atol):
+    """scipy's select_initial_step for DOP853 (error order 7), capped at
+    MAX_STEP (Hairer, Norsett and Wanner, sec. II.4)."""
+    span = abs(t1 - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = np.asarray(stage(t0 + h0 * direction, y0 + h0 * direction * f0))
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, span, MAX_STEP)
+
+
+def _rms(x):
+    return float(np.linalg.norm(x)) / x.size ** 0.5
 
 
 def _output_nodes(t0, t1, h_out):
@@ -262,7 +357,7 @@ def solve_linear(
     nodes = _output_nodes(t0, t1, h_out)
     calls = 0
     for tries in range(MAX_TRIES):
-        calls += dop853.N_STAGES_EXTENDED * n_steps
+        calls += N_STAGES_EXTENDED * n_steps
         if calls > MAX_STAGE_CALLS:
             raise StepFailure(t0, f"solve_linear: step budget exhausted at {n_steps} steps")
         h = np.sign(t1 - t0) * span / n_steps
@@ -270,7 +365,8 @@ def solve_linear(
         worst = int(np.argmax(err))
         if err[worst] < 1.0:
             break
-        n_steps = int(np.ceil(span / (abs(h) * max(0.2, 0.9 * err[worst] ** -0.125))))
+        factor = max(MIN_FACTOR, SAFETY * err[worst] ** ERROR_EXPONENT)
+        n_steps = int(np.ceil(span / (abs(h) * factor)))
     else:
         raise StepFailure(
             t0 + worst * h,
@@ -291,7 +387,7 @@ def _linear_pass(system, t0, t1, h, n_steps, y0, q0, nodes, guard, rtol, atol):
     """One uniform-step DOP853 pass of solve_linear: the dense output at the
     nodes, shape (channels, len(nodes)), and the error estimate of each
     step. Arrays over the stages of all steps are stage-major."""
-    A, C, n_st = dop853.A, dop853.C, dop853.N_STAGES
+    A, C, n_st = dop853.A, dop853.C, N_STAGES
     d = len(y0)
     times = t0 + h * (np.arange(n_steps) + C[:, None])
     times[C == 1.0, -1] = t1
@@ -320,35 +416,44 @@ def _linear_pass(system, t0, t1, h, n_steps, y0, q0, nodes, guard, rtol, atol):
         q = q0 + np.concatenate([np.zeros((1, len(q0))), np.cumsum(dq, axis=0)])
         z = np.concatenate([y, q], axis=1)
         k = np.concatenate([k, gk], axis=2)
-    out = _dense_output(z, k, t0, h, nodes)
+    n = np.clip(((nodes - t0) / h).astype(int), 0, n_steps - 1)
+    out = _dense_output(z, k, h, n, (nodes - (t0 + n * h)) / h)
     if guard is not None:
         t_all = np.concatenate([times.ravel(), nodes])
         y_all = np.concatenate([states.reshape(-1, d), out[:d].T])
         order = np.argsort((t_all - t0) * np.sign(h), kind="stable")
         guard(t_all[order], y_all[order].T)
-    # DOP853's error norm, step by step (scipy's _estimate_error_norm)
     scale = atol + rtol * np.maximum(abs(z[:-1]), abs(z[1:]))
-    e5 = ((np.tensordot(dop853.E5, k[:n_st + 1], axes=1) / scale) ** 2).sum(axis=1)
-    e3 = ((np.tensordot(dop853.E3, k[:n_st + 1], axes=1) / scale) ** 2).sum(axis=1)
-    denom = np.sqrt((e5 + 0.01 * e3) * z.shape[1])
+    return out, _error_norm(k[:n_st + 1], h, scale)
+
+
+def _error_norm(k, h, scale):
+    """DOP853's error norm (scipy's _estimate_error_norm), one per step:
+    k holds the step's stage derivatives 0..12, stage-major, and scale
+    is atol + rtol max(|y_n|, |y_n+1|) per channel. A norm that is not
+    finite reads inf."""
+    k = k.reshape(len(k), -1)           # as np.tensordot contracts, cheaper
+    e5 = ((np.dot(_E5, k).reshape(scale.shape) / scale) ** 2).sum(axis=-1)
+    e3 = ((np.dot(_E3, k).reshape(scale.shape) / scale) ** 2).sum(axis=-1)
+    denom = np.sqrt((e5 + 0.01 * e3) * scale.shape[-1])
     with np.errstate(invalid="ignore", divide="ignore"):
         err = np.where(denom > 0, abs(h) * e5 / denom, 0.0)
-    return out, np.where(np.isnan(err), np.inf, err)
+    return np.where(np.isnan(err), np.inf, err)
 
 
-def _dense_output(z, k, t0, h, nodes):
-    """DOP853's dense output (scipy's F rows) at the nodes, shape
-    (channels, len(nodes)), from the step-start states z and the
-    stage-major stage derivatives k of a uniform-step pass."""
+def _dense_output(z, k, h, n, x):
+    """DOP853's dense output (scipy's F rows), shape (channels, len(x)):
+    for each output point, step n at local coordinate x in [0, 1]. z holds
+    the states at the step boundaries, k the stage derivatives of every
+    step, stage-major, and h the step size, a float or one per step of
+    shape (steps, 1)."""
     dz = z[1:] - z[:-1]
     F = np.concatenate([
-        [dz, h * k[0] - dz, 2 * dz - h * (k[dop853.N_STAGES] + k[0])],
+        [dz, h * k[0] - dz, 2 * dz - h * (k[N_STAGES] + k[0])],
         h * np.tensordot(dop853.D, k, axes=1),
     ])
-    n = np.clip(((nodes - t0) / h).astype(int), 0, len(dz) - 1)
-    x = (nodes - (t0 + n * h)) / h
     F = F.transpose(0, 2, 1)            # (row, channel, step)
-    out = np.zeros((z.shape[1], len(nodes)))
+    out = np.zeros((z.shape[1], len(x)))
     for i, f in enumerate(F[::-1]):
         out += f[:, n]
         out *= x if i % 2 == 0 else 1 - x

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from twlab import auxsys, painleve2, rk
 from twlab.errors import BadInterval, BlowUp, DegenerateQ2, PoleEncountered, StepFailure
@@ -131,7 +133,7 @@ def test_step_failure_reported_as_pole(hm, monkeypatch):
 
 
 def test_linear_route_matches_stagewise_dop853(hm, aux_lin):
-    # the route as scipy's adaptive DOP853 integrated it, one RHS call per
+    # the route as scipy's adaptive DOP853 integrates it, one RHS call per
     # stage, on the 7-channel system; measured gaps: q2 3.7e-15, alpha
     # 3.6e-15, log kappa 5.5e-14, J 1.2e-14 relative to max(1, |J|)
     f = painleve2.fast_eval(hm)
@@ -153,11 +155,12 @@ def test_linear_route_matches_stagewise_dop853(hm, aux_lin):
         ]
 
     y0 = [0.0, 1.0, 0.0, -0.5 * np.log(f(12.0)[0]), 0.0, 0.0, 0.0]
-    sol = rk.solve_rk(rhs, 12.0, -11.0, y0, rtol=1e-13, atol=1e-24)
-    ref = auxsys.AuxSolution("linear", 12.0, -11.0, hm,
-                             rk.HermiteTable(sol.t, sol.y, sol.yp))
+    sol = solve_ivp(rhs, (12.0, -11.0), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-24, max_step=rk.MAX_STEP, dense_output=True)
     t = aux_lin.grid
-    assert np.array_equal(t, ref.grid)
+    y = sol.sol(t)
+    ref = auxsys.AuxSolution("linear", 12.0, -11.0, hm,
+                             rk.HermiteTable(t, y, np.array(rhs(t, y))))
     assert np.max(np.abs(aux_lin.q2_at(t) - ref.q2_at(t))) <= 2e-14
     assert np.max(np.abs(aux_lin.alpha_at(t) - ref.alpha_at(t))) <= 2e-14
     assert np.max(np.abs(aux_lin.log_kappa_at(t) - ref.log_kappa_at(t))) <= 2e-13
@@ -257,6 +260,92 @@ def test_compatibility_residuals(hm, aux_lin):
     for t in (-6.0, -2.5, 1.0):
         res = auxsys.compatibility_residuals(aux_lin, hm, t)
         assert max(res.values()) < 1e-6
+
+
+def _reference_reconstruct_params(aux, hm, t, mode="fd", h=5e-4):
+    # the reconstruction one float lookup at a time, as it was written
+    # before it took its stencils from one array lookup
+    u, ut, omega = hm.eval(t)
+    dq = float(aux.delta_at(t))
+    alpha = float(aux.alpha_at(t))
+    klog = float(aux.log_kappa_at(t))
+    kwargs = {}
+    if mode == "fd":
+        stencil = t + h * np.arange(-2.0, 3.0)
+        kwargs = dict(
+            q2_t=float(rk.diff5(aux.delta_at(stencil), h)[2]),
+            alpha_t=float(rk.diff5(aux.alpha_at(stencil), h)[2]),
+            kappa_t_over_kappa=float(rk.diff5(aux.log_kappa_at(stencil), h)[2]),
+        )
+    return auxsys.params_from_state(
+        t, float(u), float(ut), alpha=alpha, delta_q2=dq, kappa_log=klog, **kwargs
+    )
+
+
+def _reference_compatibility_residuals(aux, hm, t, h=5e-4):
+    stencil = [_reference_reconstruct_params(aux, hm, t + k * h) for k in range(-2, 3)]
+    p = stencil[2]
+    lhs = {
+        name: float(rk.diff5(np.array([getattr(s, name) for s in stencil]), h)[2])
+        for name in ("e1", "e2", "e3", "q0", "q1", "q2")
+    }
+    one = p.q2 * p.q2 - 1.0
+    rhs = {
+        "e1": (p.b - p.e1) * (p.q2 * p.e1 - p.q1) + p.q2 * (p.c + p.e2) - p.q0,
+        "e2": -2.0
+        + p.q2 * (p.b * p.e2 + p.e3 - p.e1 * p.e2)
+        + p.q1 * p.e2
+        + p.q1 * p.c
+        - p.q0 * p.b,
+        "e3": p.e3 * (p.q1 - p.q2 * p.e1 + p.q2 * p.b) + p.q0 * p.c - p.b,
+        "q0": -p.q2
+        + 0.5 * p.e3 * one
+        + p.c * (p.q1 * p.q2 + 0.5 * p.e1 * (1.0 - p.q2 * p.q2)),
+        "q1": -p.q1 * p.q2 * p.b + 0.5 * one * (p.e2 + p.b * p.e1 + p.c),
+        "q2": one * (p.e1 - 0.5 * p.b) - p.q1 * p.q2,
+    }
+    return {name: abs(lhs[name] - rhs[name]) for name in lhs}
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64)
+
+
+def test_reconstruction_matches_float_reference(hm, aux_lin, aux_nl):
+    # the verification nodes of verify-identities and criterion 2
+    for aux in (aux_lin, aux_nl):
+        for t in np.linspace(-10.0, 8.0, 37).tolist():
+            for mode in ("fd", "ode"):
+                p = auxsys.reconstruct_params(aux, hm, t, mode)
+                ref = _reference_reconstruct_params(aux, hm, t, mode)
+                assert all(type(v) is float for v in dataclasses.astuple(p))
+                assert np.array_equal(_bits(dataclasses.astuple(p)),
+                                      _bits(dataclasses.astuple(ref)))
+            res = auxsys.compatibility_residuals(aux, hm, t)
+            ref = _reference_compatibility_residuals(aux, hm, t)
+            assert list(res) == list(ref)
+            assert all(type(v) is float for v in res.values())
+            assert np.array_equal(_bits(list(res.values())), _bits(list(ref.values())))
+
+
+def test_params_from_state_arrays_match_float_calls():
+    # numpy's array power rounds u**4 differently from the float's pow in
+    # ~3% of draws (at this seed 10 of the 200 tuples would differ in omega,
+    # a, d, U, e2, e3 or c); the array form must not
+    rng = np.random.default_rng(4)
+    t, q2, alpha, u, ut = rng.uniform([-8, -0.95, -2, 0.2, -2], [4, 0.95, 2, 2.0, 2],
+                                      (200, 5)).T
+    klog, *rates = rng.uniform(-3.0, 3.0, (4, 200))
+    rates = dict(zip(("q2_t", "alpha_t", "kappa_t_over_kappa"), rates))
+    for kwargs in (dict(q2=q2), dict(delta_q2=1.0 + q2, **rates)):
+        kwargs["kappa_log"] = klog
+        p = auxsys.params_from_state(t, u, ut, alpha=alpha, **kwargs)
+        for i in range(200):
+            one = auxsys.params_from_state(
+                float(t[i]), float(u[i]), float(ut[i]), alpha=float(alpha[i]),
+                **{k: float(v[i]) for k, v in kwargs.items()})
+            for field in dataclasses.fields(p):
+                assert _bits(getattr(p, field.name)[i]) == _bits(getattr(one, field.name))
 
 
 def test_eta_residual_and_convergence(hm, aux_lin):

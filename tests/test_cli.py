@@ -194,6 +194,10 @@ def test_verify_pde_coarse(tmp_path):
     assert 3.0 < rep["richardson_ratio"] < 5.0
     assert rep["inflation"] > 50.0
     assert isinstance(rep["sweep_substeps"], int) and rep["sweep_substeps"] > 3000
+    # the negative control's route, b_constraint_scale = 1 on [-11, 12]: 480
+    # DOP853 steps, none rejected, so 2 + 15 RHS calls per step
+    work = rep["negative_control_work"]
+    assert work == {"rhs_calls": 7202, "steps": 480, "step_shrinks": 0}
 
 
 def test_verify_pde_gate_uses_richardson_window():

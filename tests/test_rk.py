@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from twlab import rk
+from twlab import auxsys, painleve2, rk
 from twlab.errors import OutOfRange, StepFailure
 
 
@@ -40,6 +41,41 @@ def test_rtol_below_floor_is_raised_without_warning():
         warnings.simplefilter("error")
         sol = rk.solve_rk(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], rtol=1e-16)
     assert abs(sol.y[0, -1] - np.exp(-1.0)) < 1e-14
+
+
+def _same_steps_as_scipy(f, t0, t1, y0, rtol, atol):
+    """solve_rk against scipy's DOP853 with the same step cap: the same
+    accepted steps and RHS calls, and the same values at the nodes."""
+    sol = rk.solve_rk(f, t0, t1, y0, rtol=rtol, atol=atol)
+    ref = solve_ivp(f, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
+                    max_step=rk.MAX_STEP, dense_output=True)
+    assert ref.status == 0
+    assert sol.steps == len(ref.t) - 1
+    assert sol.rhs_calls == ref.nfev
+    assert np.max(np.abs(sol.y - ref.sol(sol.t))) <= 1e-14
+    return sol
+
+
+@pytest.mark.parametrize("lam", [2.0 / 3.0, 1.0])
+def test_nonlinear_route_steps_as_scipy(hm, lam):
+    # the distribution's route and the PDE check's negative control
+    f = painleve2.fast_eval(hm)
+    y0 = [0.0, 0.0, -0.5 * np.log(f(12.0)[0])]
+    sol = _same_steps_as_scipy(auxsys._nonlinear_rhs(f, lam), 12.0, -11.0, y0,
+                               1e-13, 1e-24)
+    # no step rejected: two start-up calls, then 12 + 3 per step
+    assert sol.rhs_calls == 2 + 15 * sol.steps
+
+
+def test_rejected_steps_as_scipy():
+    # an oscillator whose frequency jumps 20-fold near t = 0.5: the steps
+    # that meet the bump fail the error test (13 rejections with scipy 1.17)
+    def f(t, y):
+        w = 1.0 + 400.0 * np.exp(-(((t - 0.5) / 0.02) ** 2))
+        return [y[1], -w * y[0]]
+
+    sol = _same_steps_as_scipy(f, 0.0, 1.0, [1.0, 0.0], 1e-13, 1e-20)
+    assert (sol.rhs_calls - 2 - 15 * sol.steps) // 12 > 0
 
 
 def test_hermite_table_scalar_array_and_range():
