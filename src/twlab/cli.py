@@ -350,6 +350,8 @@ def _cmd_verify_pde(cfg, man):
         "inflation": rb / r1,
         "grid_step": step,
         "sweep_substeps": fld.substeps,
+        "sweep_start": fld.sweep_start,
+        "series_terms": laxframe.SERIES_TERMS,
     }
     path = os.path.join(cfg.out, "pde_report.json")
     with open(path, "w") as fh:
@@ -360,7 +362,7 @@ def _cmd_verify_pde(cfg, man):
     sub = laxframe.PsiField(
         x_ext=fld.x_ext[::8], t_ext=fld.t_ext[::8], x_int=fld.x_int[::8],
         t_int=fld.t_int[::8], w=fld.w[:, ::8, ::8], psi11=fld.psi11[::8, ::8],
-        substeps=fld.substeps,
+        substeps=fld.substeps, sweep_start=fld.sweep_start,
     )
     sub.export_csv(field_csv)
     man.add_artifact(field_csv)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import auxsys, painleve2
 from .distribution import SCALE_T
@@ -32,7 +31,6 @@ __all__ = [
     "solve_psi0_slab",
     "psi11_field",
     "edge_pde_residual",
-    "f2_bootstrap",
 ]
 
 CBRT3 = 3.0 ** (1.0 / 3.0)
@@ -91,7 +89,8 @@ class PsiField:
     internal coordinates carry the 3^{1/3} / 3^{2/3} factors exactly once.
     w holds the scaled column (2, nx, nt). The x-equation, its series
     start and the gauge factors are all real, so both arrays are float64.
-    substeps counts the Magnus substeps of the sweep that built w.
+    substeps counts the Magnus substeps of the sweep that built w, from
+    its series start at x_int = sweep_start.
     """
 
     x_ext: np.ndarray
@@ -101,6 +100,7 @@ class PsiField:
     w: np.ndarray
     psi11: np.ndarray           # (nx, nt)
     substeps: int               # Magnus substeps of the x-sweep
+    sweep_start: float          # internal x of the series start
 
     def export_csv(self, path) -> None:
         """x,t,re_psi11 rows (external coordinates)."""
@@ -180,7 +180,7 @@ def zero_curvature_residual(
 ) -> float:
     """Zero-curvature residual of the second-kind pair along the solved
     trajectory, with d/dt by finite differences of reconstructed entries."""
-    params = [auxsys.reconstruct_params(aux, hm, t + k * h) for k in range(-2, 3)]
+    params = auxsys._params_at(aux, hm, t + h * np.arange(-2.0, 3.0), "fd", h)
     Ls = np.array([build_gauged_L_B(p, x)[0] for p in params])
     dL_dt = diff5(Ls, h)[2]
     p = params[2]
@@ -227,7 +227,7 @@ def gauge_psi(
 # ---------------------------------------------------------------------------
 
 # Magnus steps are at most h(x) = _H0 min(1, (_X_KNEE/|x|)^{3/4}). With a
-# fixed step the error grows like |x|^3 along the run-in from x_max; the
+# fixed step the error grows like |x|^3 along the run-in from the start; the
 # |x|^{-3/4} factor keeps it level. The slab's matching near x = 0 needs
 # _H0: at twice it the match residual at t = 1 exceeds 1e-6.
 _H0 = 0.01
@@ -238,23 +238,39 @@ _COMM = np.sqrt(3.0) / 12.0
 # Magnus substeps whose step matrices are built together: a bounded chunk
 # keeps the (chunk, rows) temporaries at a few MB on any grid
 _CHUNK = 64
+# psi11_field starts its sweep from the series at x = SWEEP_START (or at its
+# largest node, if that lies farther out), kept through x^-SERIES_TERMS.
+# Against a start at x = 30 with 30 terms, psi11 on criterion 6's grid is
+# off by 1.8e-10 (9.2e-10 with 12 terms); the 3-term start at x = 15 was off
+# by 1.4e-4.
+SERIES_TERMS = 16
+SWEEP_START = 10.0
 
 
 def _series_w_init(x: float, t, u, ut, om):
-    """Recessive-column scaled value from the canonical expansion through x^-3.
+    """Recessive-column scaled value from the canonical expansion through
+    x^-SERIES_TERMS.
 
-    The x^-1 and x^-2 coefficients follow from the x-equation; the diagonal
-    x^-3 coefficient integrates to the closed form
-    (t omega + u u')/3 + omega^3/6 - u^2 omega / 2.
+    With w1 = sum_{k>=1} a_k x^-k and w2 = sum_{k>=0} b_k x^-k, b0 = 1 and
+    a1 = -u, matching powers of x in the x-equation gives for j >= 1
+      b_j = [(j-1)(u'/u) b_{j-1} - (omega/u) a_j + (j-1) u a_{j-1}] / j
+      a_{j+1} = [-(j-1) b_{j-1} - u' a_j - u^2 b_j] / u,
+    where omega/u stands for u'^2/u - t u - u^3 (the Hamiltonian
+    u'^2 - t u^2 - u^4 is -omega), so every coefficient is local in u, u'
+    and omega; t enters only through omega. The arrays run over the time
+    rows.
     """
-    m1_12, m1_22 = -u, om
-    m2_12 = ut - u * om
-    m2_22 = (om**2 - u**2) / 2.0
-    m3_12 = -(t * u + u**3 / 2.0 + u * om**2 / 2.0 - ut * om)
-    m3_22 = (t * om + u * ut) / 3.0 + om**3 / 6.0 - u**2 * om / 2.0
-    w1 = m1_12 / x + m2_12 / x**2 + m3_12 / x**3
-    w2 = 1.0 + m1_22 / x + m2_22 / x**2 + m3_22 / x**3
-    return w1, w2
+    a = [0.0, -u]
+    b = [np.ones_like(u)]
+    for j in range(1, SERIES_TERMS + 1):
+        b.append(((j - 1) * (ut / u) * b[j - 1] - (om / u) * a[j]
+                  + (j - 1) * u * a[j - 1]) / j)
+        a.append((-(j - 1) * b[j - 1] - ut * a[j] - u * u * b[j]) / u)
+    w1 = w2 = 0.0
+    for j in range(SERIES_TERMS, 0, -1):
+        w1 = (w1 + a[j]) / x
+        w2 = (w2 + b[j]) / x
+    return w1, w2 + 1.0
 
 
 def _expm_traceless(P, Q, R):
@@ -478,15 +494,14 @@ def psi11_field(
     aux: auxsys.AuxSolution,
     x_ext: np.ndarray,
     t_ext: np.ndarray,
-    x_max: float = 15.0,
 ) -> PsiField:
     """Gauge-constructed Psi11 on the external grid x_ext x t_ext.
 
     Psi11(x,t) = kappa [ u^{-1/2}((1+q2)x/2 - alpha) w1 + u^{1/2} w2 ]:
     the scalar exponential cancels exactly against the column scaling, so
-    the stored field needs no ledger on the ranges used here. BadInterval
-    if 3^{1/3} x_ext passes x_max, where the column would have to be swept
-    outward, in its unstable direction.
+    the stored field needs no ledger on the ranges used here. The column
+    is swept inward, its stable direction, from the series start at
+    max(SWEEP_START, 3^{1/3} max x_ext).
     """
     x_ext = np.asarray(x_ext, dtype=np.float64)
     t_ext = np.asarray(t_ext, dtype=np.float64)
@@ -494,15 +509,11 @@ def psi11_field(
     ti = SCALE_T * t_ext
     if ti.min() < aux.t_end or ti.max() > aux.t_start:
         raise BadInterval("psi11_field: internal t range not covered by aux")
-    if xi.max() > x_max:
-        raise BadInterval(
-            f"psi11_field: x = {x_ext.max():.6g} maps beyond the series start "
-            f"(3^(1/3) x must be <= x_max = {x_max:g})"
-        )
     # the sweep visits x in descending order; scatter back to x_ext's order
     order = np.argsort(xi)[::-1]
+    x_start = max(SWEEP_START, float(xi.max()))
     W = np.empty((2, len(xi), len(ti)))
-    W[:, order] = _sweep_columns(ti, xi[order], hm, x_max, +1)
+    W[:, order] = _sweep_columns(ti, xi[order], hm, x_start, +1)
 
     q2 = aux.q2_at(ti)
     al = aux.alpha_at(ti)
@@ -518,7 +529,8 @@ def psi11_field(
         t_int=ti,
         w=W,
         psi11=psi11,
-        substeps=int(_gap_substeps(x_max, xi[order]).sum()),
+        substeps=int(_gap_substeps(x_start, xi[order]).sum()),
+        sweep_start=x_start,
     )
 
 
@@ -542,44 +554,3 @@ def edge_pde_residual(fld: PsiField, stride: int = 1):
     R = 3 * Pt + Pxx + (T - X * X) * Px
     return float(np.max(np.abs(R)))
 
-
-def f2_bootstrap(
-    hm: painleve2.Painleve2Solution,
-    t: float,
-    x_init: float = 150.0,
-    x_eval: float = 100.0,
-) -> float:
-    """Classical distribution value rebuilt from the (2,2) entry.
-
-    Initializes the recessive column with the 4-term canonical expansion at
-    x_init, integrates the stiff stretch down to x_eval implicitly, and
-    removes the known 1/x ladder before taking the scalar formula
-    F = Psi0_22 e^{theta + int omega}. Agreement with the direct route is
-    limited by the first dropped expansion coefficient, ~1e-8 here.
-    """
-    u, ut, _ = hm.eval(t)
-    om = hm.omega_smooth(t)
-    w0 = _series_w_init(x_init, t, u, ut, om)
-
-    def rhs(x, w):
-        return [
-            (x * x - t - u * u) * w[0] + (x * u - ut) * w[1],
-            (x * u + ut) * w[0] + u * u * w[1],
-        ]
-
-    def jac(x, w):
-        return [[x * x - t - u * u, x * u - ut], [x * u + ut, u * u]]
-
-    sol = solve_ivp(
-        rhs,
-        (x_init, x_eval),
-        [w0[0], w0[1]],
-        method="Radau",
-        rtol=1e-12,
-        atol=1e-18,
-        jac=jac,
-    )
-    w2 = sol.y[1, -1]
-    m3_22 = (t * om + u * ut) / 3.0 + om**3 / 6.0 - u**2 * om / 2.0
-    ladder = 1.0 + om / x_eval + (om**2 - u**2) / (2 * x_eval**2) + m3_22 / x_eval**3
-    return float(w2 / ladder * np.exp(hm.int_omega_to_inf(t)))

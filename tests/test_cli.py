@@ -193,7 +193,10 @@ def test_verify_pde_coarse(tmp_path):
     assert rep["residual"] < 1e-3 * 16.0
     assert 3.0 < rep["richardson_ratio"] < 5.0
     assert rep["inflation"] > 50.0
-    assert isinstance(rep["sweep_substeps"], int) and rep["sweep_substeps"] > 3000
+    # the series start at x = 10, 16 terms; 2088 Magnus substeps to x = -3
+    # at step 1/16
+    assert (rep["sweep_start"], rep["series_terms"]) == (10.0, 16)
+    assert rep["sweep_substeps"] == 2088
     # the negative control's route, b_constraint_scale = 1 on [-11, 12]: 480
     # DOP853 steps, none rejected, so 2 + 15 RHS calls per step
     work = rep["negative_control_work"]

@@ -302,7 +302,7 @@ def test_psi11_field_memory_is_bounded(hm, aux_lin):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fld.substeps == 4029
+    assert fld.substeps == 2280
     assert peak <= 16 * 2**20
 
 
@@ -322,14 +322,6 @@ def test_slab_rejects_other_stokes_data(hm):
         laxframe.solve_psi0_slab(
             hm, laxframe.StokesData.hastings_mcleod(), -2.0, x_max=10.0
         )
-
-
-def test_f2_bootstrap(hm):
-    # the (2,2)-entry route to the classical distribution, non-circular:
-    # series init far out, implicit integration in, known ladder removed
-    got = laxframe.f2_bootstrap(hm, -2.0)
-    want = distribution.eval_F2(hm, -2.0)
-    assert abs(got - want) < 1e-7
 
 
 def test_field_reality_and_boundaries(hm, aux_lin):
@@ -358,11 +350,59 @@ def test_field_range_guard(hm, aux_lin):
         laxframe.psi11_field(hm, aux_lin, np.array([0.0]), np.array([-8.0]))
 
 
-def test_field_rejects_x_beyond_series_start(hm, aux_lin):
-    # 3^{1/3} x > x_max would sweep outward, the unstable direction
+def _reference_field(monkeypatch, hm, aux, x_ext, t_ext):
+    """psi11_field started at x = 30 from the series through x^-30."""
+    with monkeypatch.context() as m:
+        m.setattr(laxframe, "SERIES_TERMS", 30)
+        m.setattr(laxframe, "SWEEP_START", 30.0)
+        return laxframe.psi11_field(hm, aux, x_ext, t_ext)
+
+
+def test_series_recursion_reproduces_closed_forms(hm, monkeypatch):
+    # cut at x^-3 the recursion gives the expansion's closed forms
+    t = -2.0
+    u, ut, _ = hm.eval(t)
+    om = hm.omega_smooth(t)
+    m3_12 = -(t * u + u**3 / 2.0 + u * om**2 / 2.0 - ut * om)
+    m3_22 = (t * om + u * ut) / 3.0 + om**3 / 6.0 - u**2 * om / 2.0
+    monkeypatch.setattr(laxframe, "SERIES_TERMS", 3)
+    for x in (10.0, 15.0):
+        w1, w2 = laxframe._series_w_init(x, t, u, ut, om)
+        assert abs(w1 - (-u / x + (ut - u * om) / x**2 + m3_12 / x**3)) <= 1e-14
+        assert abs(w2 - (1.0 + om / x + (om**2 - u**2) / (2 * x**2)
+                         + m3_22 / x**3)) <= 1e-14
+
+
+def test_field_against_far_start_on_pde_grid(hm, aux_lin, monkeypatch):
+    # criterion 6's grid: 1.8e-10 from the start at x = 10 (1.4e-4 from the
+    # earlier 3-term start at x = 15)
+    h = 1.0 / 64.0
+    xg = np.arange(-3.0, 3.0 + 1e-9, h)
+    tg = np.arange(-5.0, 1.0 + 1e-9, h)
+    fld = laxframe.psi11_field(hm, aux_lin, xg, tg)
+    ref = _reference_field(monkeypatch, hm, aux_lin, xg, tg)
+    assert (fld.sweep_start, ref.sweep_start) == (10.0, 30.0)
+    assert np.max(np.abs(fld.psi11 - ref.psi11)) <= 5e-10
+
+
+def test_field_against_far_start_on_full_range(hm, aux_lin, monkeypatch):
+    # every time row the aux trajectory covers, |x| <= 4: 1.5e-9, worst on
+    # the rows near t = -11
+    xg = np.arange(-4.0, 4.0 + 1e-9, 1.0 / 16.0)
+    tg = np.linspace(aux_lin.t_end, aux_lin.t_start, 241) / distribution.SCALE_T
+    fld = laxframe.psi11_field(hm, aux_lin, xg, tg)
+    ref = _reference_field(monkeypatch, hm, aux_lin, xg, tg)
+    assert np.max(np.abs(fld.psi11 - ref.psi11)) <= 4e-9
+
+
+def test_field_nodes_beyond_sweep_start(hm, aux_lin, monkeypatch):
+    # a node with 3^{1/3} x > SWEEP_START moves the series start out to it
     for x in (10.5, 11.0, 12.0):
-        with pytest.raises(BadInterval):
-            laxframe.psi11_field(hm, aux_lin, np.array([0.0, x]), np.array([0.0]))
+        xg = np.array([0.0, x])
+        fld = laxframe.psi11_field(hm, aux_lin, xg, np.array([0.0]))
+        assert fld.sweep_start == laxframe.CBRT3 * x
+        ref = _reference_field(monkeypatch, hm, aux_lin, xg, np.array([0.0]))
+        assert np.max(np.abs(fld.psi11 - ref.psi11)) <= 3e-9
     edge = laxframe.psi11_field(hm, aux_lin, np.array([10.0]), np.array([0.0]))
     assert abs(edge.psi11[0, 0] - 1.0) < 1e-3
 

@@ -95,22 +95,17 @@ def test_sources_use_no_extended_precision():
             assert word not in text, f"{path.name} uses {word}"
 
 
-def test_solve_ivp_only_in_f2_bootstrap():
-    # one ODE integrator, rk's DOP853: f2_bootstrap's implicit Radau run is
-    # the one deliberate use of scipy's, and only laxframe imports it
+def test_no_solve_ivp_in_src():
+    # one ODE integrator, rk's DOP853: no module of the package calls or
+    # imports scipy's solve_ivp
     src = pathlib.Path(specfun.__file__).parent
     for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.ImportFrom):
-                    names = [alias.name for alias in node.names]
-                    assert "solve_ivp" not in names or path.name == "laxframe.py", (
-                        f"{path.name} imports solve_ivp")
-                    continue
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if name == "solve_ivp":
-                    where = (path.name, getattr(top, "name", None))
-                    assert where == ("laxframe.py", "f2_bootstrap"), f"solve_ivp in {where}"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            assert "solve_ivp" not in names, f"{path.name} uses solve_ivp"
 
 
 def test_airy_grid_matches_scalar():
