@@ -462,7 +462,8 @@ def params_from_state(
     dq = delta_q2 if isinstance(delta_q2, np.ndarray) else float(delta_q2)
     q2 = dq - 1.0
     one_m = dq * (2.0 - dq)          # 1 - q2^2
-    if np.any(abs(one_m) < 1e-280):
+    degenerate = abs(one_m) < 1e-280
+    if degenerate.any() if isinstance(dq, np.ndarray) else degenerate:
         raise DegenerateQ2(f"1 - q2^2 vanishes at q2={q2}")
     lu = ut / u
     alpha2 = _pow(alpha, 2)

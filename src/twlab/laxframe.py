@@ -10,6 +10,7 @@ dominant one from the left, across all time rows at once.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import islice
 
@@ -87,10 +88,12 @@ class PsiField:
 
     x_ext and t_ext are the distribution-side coordinates; the stored
     internal coordinates carry the 3^{1/3} / 3^{2/3} factors exactly once.
-    w holds the scaled column (2, nx, nt). The x-equation, its series
-    start and the gauge factors are all real, so both arrays are float64.
-    substeps counts the Magnus substeps of the sweep that built w, from
-    its series start at x_int = sweep_start.
+    w holds the scaled column (2, nx, nt), read-only: psi11_field shares
+    it with every field it builds on the same solve and grid. The
+    x-equation, its series start and the gauge factors are all real, so
+    both arrays are float64. substeps counts the Magnus substeps of the
+    sweep that built w, from its series start at x_int = sweep_start;
+    that sweep may have run in an earlier call.
     """
 
     x_ext: np.ndarray
@@ -245,6 +248,11 @@ _CHUNK = 64
 # by 1.4e-4.
 SERIES_TERMS = 16
 SWEEP_START = 10.0
+# psi11_field's last sweep on each Hastings-McLeod solution, as
+# (key, W, substeps). w depends on u alone, not on the aux route, so a field
+# and its negative control on one grid share a sweep. Painleve2Solution
+# hashes by identity, and an entry goes with its solution.
+_SWEPT = weakref.WeakKeyDictionary()
 
 
 def _series_w_init(x: float, t, u, ut, om):
@@ -502,6 +510,12 @@ def psi11_field(
     the stored field needs no ledger on the ranges used here. The column
     is swept inward, its stable direction, from the series start at
     max(SWEEP_START, 3^{1/3} max x_ext).
+
+    w depends on hm and the grid, not on aux, so the sweep is kept per
+    solve: a later call on the same hm with the same internal x nodes (in
+    the same order), the same t rows (bit for bit), the same series start
+    and the same SERIES_TERMS reuses it, and only the gauge product is
+    formed. One grid is kept per solve; a new grid replaces it.
     """
     x_ext = np.asarray(x_ext, dtype=np.float64)
     t_ext = np.asarray(t_ext, dtype=np.float64)
@@ -509,11 +523,19 @@ def psi11_field(
     ti = SCALE_T * t_ext
     if ti.min() < aux.t_end or ti.max() > aux.t_start:
         raise BadInterval("psi11_field: internal t range not covered by aux")
-    # the sweep visits x in descending order; scatter back to x_ext's order
-    order = np.argsort(xi)[::-1]
     x_start = max(SWEEP_START, float(xi.max()))
-    W = np.empty((2, len(xi), len(ti)))
-    W[:, order] = _sweep_columns(ti, xi[order], hm, x_start, +1)
+    key = (xi.tobytes(), ti.tobytes(), x_start, SERIES_TERMS)
+    hit = _SWEPT.get(hm)
+    if hit is not None and hit[0] == key:
+        _, W, substeps = hit
+    else:
+        # the sweep visits x in descending order; scatter back to x_ext's order
+        order = np.argsort(xi)[::-1]
+        W = np.empty((2, len(xi), len(ti)))
+        W[:, order] = _sweep_columns(ti, xi[order], hm, x_start, +1)
+        W.flags.writeable = False
+        substeps = int(_gap_substeps(x_start, xi[order]).sum())
+        _SWEPT[hm] = (key, W, substeps)
 
     q2 = aux.q2_at(ti)
     al = aux.alpha_at(ti)
@@ -529,7 +551,7 @@ def psi11_field(
         t_int=ti,
         w=W,
         psi11=psi11,
-        substeps=int(_gap_substeps(x_start, xi[order]).sum()),
+        substeps=substeps,
         sweep_start=x_start,
     )
 

@@ -367,6 +367,10 @@ def test_eta_linearized_residual(hm, aux_lin):
 def test_degenerate_q2_guard():
     with pytest.raises(DegenerateQ2):
         auxsys.params_from_state(0.0, 1.0, 0.1, q2=-1.0, alpha=0.0)
+    # one degenerate element is enough in an array call
+    with pytest.raises(DegenerateQ2):
+        auxsys.params_from_state(np.zeros(2), np.ones(2), np.full(2, 0.1),
+                                 q2=np.array([0.3, 1.0]), alpha=np.zeros(2))
 
 
 def test_route_preconditions(hm):

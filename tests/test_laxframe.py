@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -292,16 +293,20 @@ def test_expm_traceless_branches():
 
 def test_psi11_field_memory_is_bounded(hm, aux_lin):
     # the chunked sweep keeps its temporaries to a few MB; building every
-    # (substep, row) step matrix at once would take hundreds of MB
+    # (substep, row) step matrix at once would take hundreds of MB. A copy
+    # of the solve has no kept sweep, so the traced call sweeps.
     h = 1.0 / 64.0
     xg = np.arange(-3.0, 3.0 + 1e-9, h)
     tg = np.arange(-5.0, 1.0 + 1e-9, h)
+    fresh = copy.copy(hm)
+    assert fresh not in laxframe._SWEPT
     tracemalloc.start()
     try:
-        fld = laxframe.psi11_field(hm, aux_lin, xg, tg)
+        fld = laxframe.psi11_field(fresh, aux_lin, xg, tg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert laxframe._SWEPT[fresh][1] is fld.w
     assert fld.substeps == 2280
     assert peak <= 16 * 2**20
 
@@ -381,6 +386,7 @@ def test_field_against_far_start_on_pde_grid(hm, aux_lin, monkeypatch):
     tg = np.arange(-5.0, 1.0 + 1e-9, h)
     fld = laxframe.psi11_field(hm, aux_lin, xg, tg)
     ref = _reference_field(monkeypatch, hm, aux_lin, xg, tg)
+    assert ref.w is not fld.w
     assert (fld.sweep_start, ref.sweep_start) == (10.0, 30.0)
     assert np.max(np.abs(fld.psi11 - ref.psi11)) <= 5e-10
 
@@ -392,6 +398,7 @@ def test_field_against_far_start_on_full_range(hm, aux_lin, monkeypatch):
     tg = np.linspace(aux_lin.t_end, aux_lin.t_start, 241) / distribution.SCALE_T
     fld = laxframe.psi11_field(hm, aux_lin, xg, tg)
     ref = _reference_field(monkeypatch, hm, aux_lin, xg, tg)
+    assert ref.w is not fld.w
     assert np.max(np.abs(fld.psi11 - ref.psi11)) <= 4e-9
 
 
@@ -402,9 +409,53 @@ def test_field_nodes_beyond_sweep_start(hm, aux_lin, monkeypatch):
         fld = laxframe.psi11_field(hm, aux_lin, xg, np.array([0.0]))
         assert fld.sweep_start == laxframe.CBRT3 * x
         ref = _reference_field(monkeypatch, hm, aux_lin, xg, np.array([0.0]))
+        assert ref.w is not fld.w
         assert np.max(np.abs(fld.psi11 - ref.psi11)) <= 3e-9
     edge = laxframe.psi11_field(hm, aux_lin, np.array([10.0]), np.array([0.0]))
     assert abs(edge.psi11[0, 0] - 1.0) < 1e-3
+
+
+def test_field_reuses_the_sweep_per_solve_and_grid(hm, aux_lin, aux_nl):
+    # w depends on the solve and the grid, not on the aux route: a second
+    # field on the same grid forms only the gauge product, and equals bit
+    # for bit the field built on a distinct solve that sweeps afresh
+    xg = np.arange(-3.0, 3.0 + 1e-9, 1.0 / 8.0)
+    tg = np.arange(-5.0, 1.0 + 1e-9, 1.0 / 8.0)
+    fld = laxframe.psi11_field(hm, aux_lin, xg, tg)
+    fld2 = laxframe.psi11_field(hm, aux_nl, xg, tg)
+    assert fld2.w is fld.w
+    assert fld2.substeps == fld.substeps
+    other = laxframe.psi11_field(copy.copy(hm), aux_nl, xg, tg)
+    assert other.w is not fld.w
+    assert np.array_equal(other.w, fld.w)
+    assert np.array_equal(other.psi11, fld2.psi11)
+    assert not np.array_equal(fld2.psi11, fld.psi11)
+    with pytest.raises(ValueError):
+        fld.w[0, 0, 0] = 1.0
+
+
+def test_field_sweeps_again_when_the_key_changes(hm, aux_lin, monkeypatch):
+    xg = np.arange(-3.0, 3.0 + 1e-9, 1.0 / 8.0)
+    tg = np.arange(-5.0, 1.0 + 1e-9, 1.0 / 8.0)
+    moved = xg.copy()
+    moved[5] += 1e-3
+    tmoved = tg.copy()
+    tmoved[-1] -= 1e-3
+    # each variant follows a field on the base grid, whose sweep it must
+    # not reuse
+    for x, t, consts in ((moved, tg, {}), (xg, tmoved, {}),
+                         (xg, tg, {"SERIES_TERMS": 20}),
+                         (xg, tg, {"SWEEP_START": 12.0})):
+        base = laxframe.psi11_field(hm, aux_lin, xg, tg)
+        with monkeypatch.context() as m:
+            for name, value in consts.items():
+                m.setattr(laxframe, name, value)
+            assert laxframe.psi11_field(hm, aux_lin, x, t).w is not base.w
+    # the same nodes in the other order: a fresh sweep, stored in that order
+    base = laxframe.psi11_field(hm, aux_lin, xg, tg)
+    rev = laxframe.psi11_field(hm, aux_lin, xg[::-1], tg)
+    assert rev.w is not base.w
+    assert np.array_equal(rev.psi11, base.psi11[::-1])
 
 
 def test_field_csv_export(hm, aux_lin, tmp_path):
