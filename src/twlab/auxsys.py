@@ -149,9 +149,11 @@ def _q2_zero_events(aux):
     out = []
     for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
         t0, t1 = ts[i], ts[i + 1]
+        # t0 only moves to points of this sign, so it is taken once
+        sign0 = np.sign(aux.q2_at(t0))
         for _ in range(60):
             tm = 0.5 * (t0 + t1)
-            if np.sign(aux.q2_at(tm)) == np.sign(aux.q2_at(t0)):
+            if np.sign(aux.q2_at(tm)) == sign0:
                 t0 = tm
             else:
                 t1 = tm

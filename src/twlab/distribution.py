@@ -14,13 +14,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import auxsys, painleve2, specfun
 from .errors import BadInterval, OutOfRange, OutOfSupportedRange, QZeroCrossing
-from .rk import HermiteTable, diff5
+from .rk import HermiteTable, _basis, diff5
 
 __all__ = [
     "DistTable",
@@ -37,16 +39,29 @@ __all__ = [
 ]
 
 SCALE_T = 3.0 ** (2.0 / 3.0)
+# quantile stops at a step below QUANTILE_TOL of a cell
+QUANTILE_TOL = 1e-15
+
+
+def _is_scalar(t) -> bool:
+    # np.float64 is a float: the first test catches the common case
+    return isinstance(t, float) or np.ndim(t) == 0
 
 
 def log_F2(hm: painleve2.Painleve2Solution, t):
     """log F2(t) = int_t^inf omega(s) ds, for a scalar or an array t; 0 from
-    the right end of the grid on, where the Airy decay of u bounds the tail."""
+    the right end of the grid on, where the Airy decay of u bounds the tail.
+    A scalar gives a float, computed on floats; NaN raises OutOfRange."""
+    if _is_scalar(t):
+        t = float(t)
+        if t < hm.t_min:
+            raise OutOfRange(f"t below solved range {hm.t_min}")
+        # NaN passes both tests and raises in the lookup
+        return 0.0 if t >= hm.t_max else hm.int_omega_to_inf(t)
     t = np.asarray(t, dtype=np.float64)
     if (t < hm.t_min).any():
         raise OutOfRange(f"t below solved range {hm.t_min}")
-    out = np.where(t >= hm.t_max, 0.0, hm.int_omega_to_inf(np.minimum(t, hm.t_max)))
-    return float(out) if out.ndim == 0 else out
+    return np.where(t >= hm.t_max, 0.0, hm.int_omega_to_inf(np.minimum(t, hm.t_max)))
 
 
 def eval_F2(hm: painleve2.Painleve2Solution, t: float) -> float:
@@ -61,26 +76,35 @@ def log_F6(hm: painleve2.Painleve2Solution, aux: auxsys.AuxSolution, t):
     with I_x = int_{t_int}^inf of (omega, alpha, (u'/u)(1+q2)). The tails
     beyond t_start: I_omega's is computed from the Airy decay, the other two
     are bounded by u(t_start)^2-scale and dropped.
+
+    A scalar t gives a float, computed on floats by the same formula and
+    equal to the array path bit for bit. NaN raises OutOfRange.
     """
     if aux.route != "linear":
         raise BadInterval("log_F6 needs the linear-route AuxSolution")
-    ti = SCALE_T * np.asarray(t, dtype=np.float64)
-    if (ti < aux.t_end).any():
+    scalar = _is_scalar(t)
+    ti = SCALE_T * (float(t) if scalar else np.asarray(t, dtype=np.float64))
+    if (ti < aux.t_end) if scalar else (ti < aux.t_end).any():
         raise OutOfRange(
             f"internal t={np.min(ti):.3f} outside aux range "
             f"[{aux.t_end}, {aux.t_start}]"
         )
+    # right of t_start 1 - F6 is below the u(t_start)^2 scale (~1e-13)
+    if scalar and ti > aux.t_start:
+        return 0.0
     # q2 and the three J channels of the trajectory, from one table lookup
-    y = aux.table(np.minimum(ti, aux.t_start))
+    # (which NaN reaches, and raises in)
+    y = aux.table(ti if scalar else np.minimum(ti, aux.t_start))
     q2 = (y[0] + y[1]) / (y[0] - y[1])
     i_om = -y[4] + aux.tail_int_omega
     i_al = -y[5]
     i_one = -y[6]
     log_f = np.log((1.0 - q2) / 2.0) + i_om / 3.0 + (2.0 / 3.0) * i_al - i_one / 3.0
-    # right of t_start 1 - F6 is below the u(t_start)^2 scale (~1e-13), and
-    # roundoff in that saturated tail would otherwise give F6 = 1 + ulp
-    out = np.where(ti > aux.t_start, 0.0, np.minimum(log_f, 0.0))
-    return float(out) if out.ndim == 0 else out
+    # roundoff in the saturated tail would otherwise give F6 = 1 + ulp; the
+    # float cap is np.minimum's (NaN stays NaN, -0.0 gives 0.0)
+    if scalar:
+        return 0.0 if log_f >= 0.0 else float(log_f)
+    return np.where(ti > aux.t_start, 0.0, np.minimum(log_f, 0.0))
 
 
 def eval_F6(
@@ -135,6 +159,9 @@ class DistTable:
 
     def __post_init__(self):
         self._table = HermiteTable(self.t, [self.F], [self.pdf])
+        # F may step back by up to 1e-12 in its saturated top; its running
+        # maximum is sorted, for quantile's cell search
+        self._F_rising = np.maximum.accumulate(self._table.y[0])
 
     def cdf(self, tq):
         """F by cubic Hermite interpolation with the pdf column as slopes.
@@ -144,7 +171,7 @@ class DistTable:
         distribution is used on unbounded data such as Monte Carlo samples.
         """
         lo, hi = self.t[0], self.t[-1]
-        if isinstance(tq, float) or np.ndim(tq) == 0:
+        if _is_scalar(tq):
             return self._table(min(max(float(tq), lo), hi))[0]
         return self._table(np.clip(tq, lo, hi))[0]
 
@@ -171,6 +198,20 @@ def _array_hash(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
+
+
+# provenance digests, one per solve, hashed on first use; a solve's tables
+# are read-only, so a kept digest cannot go stale, and an entry goes with
+# its solve (both solution classes hash by identity)
+_DIGESTS = weakref.WeakKeyDictionary()
+
+
+def _solve_hash(solve, *arrays) -> str:
+    """_array_hash(*arrays) of one solve's arrays, kept for the solve."""
+    digest = _DIGESTS.get(solve)
+    if digest is None:
+        digest = _DIGESTS[solve] = _array_hash(*arrays)
+    return digest
 
 
 def is_effectively_monotone(F: np.ndarray, saturation: float = 1e-12) -> bool:
@@ -217,14 +258,14 @@ def tabulate(
         raise BadInterval("tabulate: grid must be uniform")
     if beta == 2:
         logF = log_F2(hm, t_grid)
-        prov = {"hm": _array_hash(hm.grid, hm.u)}
+        prov = {"hm": _solve_hash(hm, hm.grid, hm.u)}
     elif beta == 6:
         if aux is None:
             raise BadInterval("tabulate: beta=6 needs an AuxSolution")
         logF = log_F6(hm, aux, t_grid)
         prov = {
-            "hm": _array_hash(hm.grid, hm.u),
-            "aux": _array_hash(aux.table.t, aux.table.y),
+            "hm": _solve_hash(hm, hm.grid, hm.u),
+            "aux": _solve_hash(aux, aux.table.t, aux.table.y),
         }
     else:
         raise BadInterval("tabulate: beta must be 2 or 6")
@@ -243,26 +284,47 @@ def tabulate(
     )
 
 
-def quantile(table: DistTable, p: float, tol: float = 1e-9) -> float:
-    """t with F(t) = p by bisection plus Hermite-slope refinement."""
+def quantile(table: DistTable, p: float) -> float:
+    """t with F(t) = p on the table's interpolant (the cubic of DistTable.cdf).
+
+    A binary search of the running maximum of F (F may step back by up to
+    1e-12 in its saturated top) finds the first cell with F_j < p <=
+    F_j+1. Its cubic is solved by Newton's method on its own derivative
+    from the chord, with bisection when a step leaves the bracket around
+    the root, to a step below QUANTILE_TOL of the cell. Raises
+    OutOfSupportedRange for p outside [F[0], F[-1]].
+    """
     if not (table.F[0] <= p <= table.F[-1]):
         raise OutOfSupportedRange(
             f"p={p} outside tabulated range [{table.F[0]:.3g}, {table.F[-1]:.3g}]"
         )
-    lo, hi = float(table.t[0]), float(table.t[-1])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if table.cdf(mid) < p:
-            lo = mid
+    p = float(p)
+    j = int(np.searchsorted(table._F_rising, p))    # F_rising[j-1] < p <= F[j]
+    cdf = table._table
+    if j == 0:
+        return cdf.t_lo
+    (y0, m0), (y1, m1) = cdf.nodes[j - 1:j + 1, :, 0].tolist()
+    ta, tb = cdf.t[j - 1:j + 1].tolist()
+    h = cdf.h
+    lo, hi = 0.0, 1.0               # the cubic is < p at lo, >= p at hi
+    s = (p - y0) / (y1 - y0)
+    for _ in range(60):             # bisection alone takes 50
+        b00, b10, b01, b11 = _basis(s, h)
+        c = b00 * y0 + b10 * m0 + b01 * y1 + b11 * m1 - p
+        if c == 0.0:
+            break
+        if c < 0.0:
+            lo = s
         else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(hi)):
+            hi = s
+        # dc/ds from the derivatives of the basis
+        slope = 6.0 * s * (1.0 - s) * (y1 - y0) + h * (
+            (1.0 - s) * (1.0 - 3.0 * s) * m0 + s * (3.0 * s - 2.0) * m1)
+        s_old = s
+        s = s - c / slope if slope > 0.0 else math.nan
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        if abs(s - s_old) <= QUANTILE_TOL:
             break
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        err = table.cdf(x) - p
-        if abs(err) <= tol:
-            break
-        slope = max(float(np.interp(x, table.t, table.pdf)), 1e-300)
-        x = float(np.clip(x - err / slope, table.t[0], table.t[-1]))
-    return x
+    # exact at both nodes, so that a node value F_j+1 gives t_j+1
+    return (1.0 - s) * ta + s * tb

@@ -177,11 +177,11 @@ class Painleve2Solution:
 
     @property
     def t_min(self) -> float:
-        return float(self.grid[0])
+        return self.table.t_lo
 
     @property
     def t_max(self) -> float:
-        return float(self.grid[-1])
+        return self.table.t_hi
 
     @property
     def step(self) -> float:
@@ -206,8 +206,15 @@ class Painleve2Solution:
         i, s = self.table.locate(t)
         h = self.step
         om = self.table.nodes[:, :, 2]       # omega_smooth and its slope u^2
-        y0, y1 = om[i, 0], om[i + 1, 0]
-        d0, d1 = om[i, 1] * h, om[i + 1, 1] * h
+        right = self._int_om_right
+        if isinstance(i, int):
+            # floats, from one read of the cell
+            (y0, d0), (y1, d1) = om[i:i + 2].tolist()
+            right = right.item(i + 1)
+        else:
+            (y0, d0), (y1, d1) = om[i].T, om[i + 1].T
+            right = right[i + 1]
+        d0, d1 = d0 * h, d1 * h
 
         def anti(x):
             x3 = x * x * x
@@ -219,7 +226,7 @@ class Painleve2Solution:
             return H00 * y0 + H10 * d0 + H01 * y1 + H11 * d1
 
         piece = h * (anti(1.0) - anti(s))
-        return piece + self._int_om_right[i + 1] + self._tail_int_om
+        return piece + right + self._tail_int_om
 
 
 def solve_hastings_mcleod(

@@ -95,10 +95,16 @@ class HermiteTable:
     y and yp have shape (rows, n), one row per channel, on a uniform grid
     t, ascending or descending. The node data is kept node-major in
     `nodes`, shape (n, 2, rows), so that a scalar lookup reads one
-    contiguous block. A scalar t gives one value per row, an array of t
-    gives shape (rows, len(t)); both do the same float operations in the
-    same order and agree bitwise. A t more than 1e-12 outside the grid
-    raises OutOfRange.
+    contiguous block. `t` and `nodes` are read-only: a table never changes
+    once built, so what is derived from it (such as a provenance digest)
+    can be kept. `t_lo` and `t_hi` are the grid's ends as floats.
+
+    An array of t gives shape (rows, len(t)). A scalar t (a float, an int,
+    a numpy scalar or a 0-d array) takes a path on plain floats, from the
+    cell index through the basis to the combination, and gives a list of
+    one float per row; it reads the node block with one `.tolist()`. Both
+    paths do the same float operations in the same order and agree
+    bitwise. A t more than 1e-12 outside the grid raises OutOfRange.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray, yp: np.ndarray):
@@ -111,13 +117,16 @@ class HermiteTable:
         for r, (v, p) in enumerate(zip(y, yp)):
             self.nodes[:, 0, r] = v[::step]
             self.nodes[:, 1, r] = p[::step]
+        self.t.flags.writeable = False
+        self.nodes.flags.writeable = False
         self.h = float(self.t[1] - self.t[0])
         steps = np.diff(self.t)
         if steps.max() - steps.min() > 1e-9 * self.h:
             raise BadInterval("HermiteTable: grid must be uniform")
-        self._t0 = float(self.t[0])
-        self._lo = self._t0 - 1e-12
-        self._hi = float(self.t[-1]) + 1e-12
+        self.t_lo = float(self.t[0])
+        self.t_hi = float(self.t[-1])
+        self._lo = self.t_lo - 1e-12
+        self._hi = self.t_hi + 1e-12
         self._imax = len(self.t) - 2
 
     @property
@@ -126,23 +135,24 @@ class HermiteTable:
         return self.nodes[:, 0].T
 
     def locate(self, tq):
-        """Cell index i and local coordinate s of tq (scalar or array).
+        """Cell index i and local coordinate s of tq: an int and a float for
+        a scalar tq, two arrays for an array.
 
         s is exactly 1 at the upper node of a cell, so that node values
         come back exactly.
         """
         if isinstance(tq, float) or np.ndim(tq) == 0:
             tq = float(tq)
-            if not self._lo <= tq <= self._hi:
-                raise OutOfRange(f"t={tq} outside table [{self.t[0]}, {self.t[-1]}]")
-            i = min(max(int((tq - self._t0) / self.h), 0), self._imax)
+            if not self._lo <= tq <= self._hi:       # NaN fails it too
+                raise OutOfRange(f"t={tq} outside table [{self.t_lo}, {self.t_hi}]")
+            i = min(int((tq - self.t_lo) / self.h), self._imax)
             ta, tb = self.t[i:i + 2].tolist()
             return i, (1.0 if tq == tb else (tq - ta) / self.h)
         tq = np.asarray(tq, dtype=np.float64)
         if not ((tq >= self._lo) & (tq <= self._hi)).all():
-            raise OutOfRange(f"t outside table [{self.t[0]}, {self.t[-1]}]")
+            raise OutOfRange(f"t outside table [{self.t_lo}, {self.t_hi}]")
         # in range, the index is >= 0 already (truncation toward zero)
-        i = np.minimum(((tq - self._t0) / self.h).astype(int), self._imax)
+        i = np.minimum(((tq - self.t_lo) / self.h).astype(int), self._imax)
         s = np.where(tq == self.t[i + 1], 1.0, (tq - self.t[i]) / self.h)
         return i, s
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -175,6 +176,25 @@ def test_q2_zero_event_recorded(aux_lin):
     zeros = aux_lin.q2_zero_locations()
     assert len(zeros) == 1
     assert abs(zeros[0] + 4.0236) < 2e-3
+
+
+@pytest.mark.parametrize("route", ["aux_lin", "aux_nl"])
+def test_q2_zero_bisection_takes_one_lookup_per_step(request, route):
+    aux = copy.copy(request.getfixturevalue(route))
+    (i,) = np.nonzero(np.diff(np.sign(aux.q2_nodes())))[0]
+    # the bisection as first written, with the sign at t0 looked up anew
+    t0, t1 = aux.grid[i], aux.grid[i + 1]
+    for _ in range(60):
+        tm = 0.5 * (t0 + t1)
+        if np.sign(aux.q2_at(tm)) == np.sign(aux.q2_at(t0)):
+            t0 = tm
+        else:
+            t1 = tm
+    calls = []
+    q2_at = aux.q2_at
+    aux.q2_at = lambda t: calls.append(t) or q2_at(t)
+    assert auxsys._q2_zero_events(aux) == [(0.5 * (t0 + t1), "q2-zero")]
+    assert len(calls) == 61
 
 
 def test_blowup_guard(hm, monkeypatch):

@@ -169,3 +169,81 @@ def test_mc_agreement_small(hm, aux_lin):
     table = distribution.tabulate(hm, aux_lin, 6, grid)
     s = oracles.sample_edge(400, 6.0, 4000, 1234)
     assert oracles.ks_distance(s, table.cdf) < 0.05
+
+
+def test_log_f2_f6_float_path_is_the_array_path(hm, aux_lin):
+    rng = np.random.default_rng(23)
+    t2 = np.concatenate([hm.grid, rng.uniform(hm.t_min, hm.t_max + 1.0, 10_000)])
+    assert np.array_equal(distribution.log_F2(hm, t2),
+                          [distribution.log_F2(hm, t) for t in t2.tolist()])
+    t6 = np.concatenate([aux_lin.grid / SC,
+                         rng.uniform(aux_lin.t_end / SC, 13.0 / SC, 10_000)])
+    f6 = distribution.log_F6(hm, aux_lin, t6)
+    floats = [distribution.log_F6(hm, aux_lin, t) for t in t6.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert np.array_equal(f6, floats)
+    # NaN raises on both paths instead of reading the clamped end
+    for log_f, args in ((distribution.log_F2, (hm,)), (distribution.log_F6, (hm, aux_lin))):
+        with pytest.raises(OutOfRange):
+            log_f(*args, np.nan)
+        with pytest.raises(OutOfRange):
+            log_f(*args, np.array([0.0, np.nan]))
+
+
+def _bisect(table, p):
+    lo, hi = float(table.t[0]), float(table.t[-1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if table.cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_quantile_inverts_the_interpolant(hm, aux_lin):
+    table = distribution.tabulate(hm, aux_lin, 6, -4.5 + 0.02 * np.arange(401))
+    F, t = table.F, table.t
+    assert distribution.quantile(table, F[0]) == t[0]
+    # every node value: the node itself where F first reaches it, else a
+    # point of the saturated top where the interpolant takes that value
+    for i in np.nonzero(F <= F[-1])[0]:
+        q = distribution.quantile(table, F[i])
+        if F[i] > F[:i].max(initial=-1.0):
+            assert q == t[i]
+        assert abs(table.cdf(q) - F[i]) <= 1e-15
+    rng = np.random.default_rng(29)
+    for p in rng.uniform(F[0], 0.999, 200):
+        q = distribution.quantile(table, p)
+        assert abs(q - _bisect(table, p)) < 1e-12
+        assert abs(table.cdf(q) - p) <= 1e-15
+    for p in (F[0] * (1 - 1e-9), np.nextafter(F[-1], 2.0), np.nan):
+        with pytest.raises(OutOfSupportedRange):
+            distribution.quantile(table, p)
+
+
+def test_quantile_takes_the_first_cell_that_reaches_p():
+    # F steps back in its saturated top: F_6 < p = F_7 = F_8 < F_5
+    F = np.array([0.0, 0.2, 0.4, 0.6, 0.8,
+                  1 - 1e-13, 1 - 3e-13, 1 - 2e-13, 1 - 2e-13])
+    table = distribution.table_from_values(2, np.arange(9.0), F)
+    q = distribution.quantile(table, F[-1])
+    assert 4.0 < q < 5.0
+    assert abs(table.cdf(q) - F[-1]) <= 1e-15
+
+
+def test_provenance_digest_is_kept_per_solve(hm, aux_lin):
+    grid = np.linspace(-4.0, 2.0, 61)
+    six = distribution.tabulate(hm, aux_lin, 6, grid).metadata["provenance"]
+    two = distribution.tabulate(hm, None, 2, grid).metadata["provenance"]
+    fresh_hm = distribution._array_hash(hm.grid, hm.u)
+    assert six == {"hm": fresh_hm,
+                   "aux": distribution._array_hash(aux_lin.table.t, aux_lin.table.y)}
+    assert two == {"hm": fresh_hm}
+    assert distribution._DIGESTS[hm] == fresh_hm
+    # the arrays behind a kept digest cannot change
+    with pytest.raises(ValueError):
+        hm.u[0] = hm.u[0]
+    with pytest.raises(ValueError):
+        aux_lin.table.y[0, 0] = aux_lin.table.y[0, 0]

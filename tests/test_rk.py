@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from twlab import auxsys, painleve2, rk
+from twlab import auxsys, distribution, painleve2, rk
 from twlab.errors import OutOfRange, StepFailure
 
 
@@ -205,3 +205,42 @@ def test_solve_linear_guard_runs_before_step_control():
     assert len(t) == 16 * 20 + len(rk._output_nodes(0.0, 1.0, 0.002))
     assert (np.diff(t) >= 0).all()
     assert 0.0 < exc.value.args[0] - np.log(2) / 30 < 0.05
+
+
+def _tables(hm, aux):
+    grid = -4.5 + 0.02 * np.arange(401)
+    cdf = distribution.tabulate(hm, aux, 6, grid)._table
+    return {"hm": hm.table, "aux": aux.table, "cdf": cdf}
+
+
+@pytest.mark.parametrize("kind, rows", [("hm", 4), ("aux", 7), ("cdf", 1)])
+def test_hermite_float_path_is_the_array_path(hm, aux_lin, kind, rows):
+    table = _tables(hm, aux_lin)[kind]
+    assert table.nodes.shape[2] == rows
+    lo, hi = table.t_lo, table.t_hi
+    rng = np.random.default_rng(19)
+    ts = np.concatenate([table.t, rng.uniform(lo, hi, 10_000),
+                         [lo, hi, lo - 1e-12, hi + 1e-12]])
+    arr = table(ts)
+    # plain floats, as .tolist() gives them, and numpy scalars
+    assert np.array_equal(arr, np.array([table(t) for t in ts.tolist()]).T)
+    assert np.array_equal(arr[:, :50], np.array([table(t) for t in ts[:50]]).T)
+    assert all(type(v) is float for v in table(float(ts[-1])))
+    assert np.array_equal(table(table.t), table.y)
+    # an int and a 0-d array take the float path too
+    for t in range(int(np.ceil(lo)), int(hi) + 1):
+        assert table(t) == table(float(t)) == table(np.array(float(t)))
+        assert table(t) == table(np.array([float(t)]))[:, 0].tolist()
+    # 1e-12 of slack at each end, no more
+    for t in (lo - 2e-12, hi + 2e-12, np.nan):
+        with pytest.raises(OutOfRange):
+            table(t)
+        with pytest.raises(OutOfRange):
+            table(np.array([0.5 * (lo + hi), t]))
+
+
+def test_hermite_table_is_read_only(hm, aux_lin):
+    for table in _tables(hm, aux_lin).values():
+        for a in (table.t, table.nodes, table.y):
+            with pytest.raises(ValueError):
+                a[0] = a[0]     # the same value: a failure leaves it intact
