@@ -21,7 +21,7 @@ from .auxsys import (
     reconstruct_params,
 )
 from .distribution import DistTable, eval_F2, eval_F6, quantile, tabulate
-from .laxframe import PsiField, StokesData, edge_pde_residual, psi11_field
+from .laxframe import PsiField, edge_pde_residual, psi11_field
 from .oracles import EdgeSampleSet, airy_kernel_fredholm, ks_distance, sample_edge
 from .painleve2 import Painleve2Solution, eval_series, solve_hastings_mcleod
 from .specfun import AiryValue, QuadratureRule, airy, gauss_legendre, integrate_to_infinity
@@ -36,7 +36,6 @@ __all__ = [
     "Painleve2Solution",
     "PsiField",
     "QuadratureRule",
-    "StokesData",
     "TailModel",
     "airy",
     "airy_kernel_fredholm",

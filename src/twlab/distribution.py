@@ -292,11 +292,12 @@ def quantile(table: DistTable, p: float) -> float:
     F_j+1. Its cubic is solved by Newton's method on its own derivative
     from the chord, with bisection when a step leaves the bracket around
     the root, to a step below QUANTILE_TOL of the cell. Raises
-    OutOfSupportedRange for p outside [F[0], F[-1]].
+    OutOfSupportedRange for p outside [F[0], max F].
     """
-    if not (table.F[0] <= p <= table.F[-1]):
+    top = table._F_rising[-1]
+    if not (table.F[0] <= p <= top):
         raise OutOfSupportedRange(
-            f"p={p} outside tabulated range [{table.F[0]:.3g}, {table.F[-1]:.3g}]"
+            f"p={p} outside tabulated range [{table.F[0]:.3g}, {top:.3g}]"
         )
     p = float(p)
     j = int(np.searchsorted(table._F_rising, p))    # F_rising[j-1] < p <= F[j]

@@ -69,10 +69,6 @@ class DegenerateGauge(TwlabError):
     """Gauge matrix singular: 1 - q2^2 vanishes at the evaluation point."""
 
 
-class MatchFailure(TwlabError):
-    """Left/right canonical solutions disagree after the Stokes correction."""
-
-
 class QZeroCrossing(TwlabError):
     """q2 vanishes inside the integration range of the q2-route formula."""
 

@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from twlab import auxsys, distribution, laxframe
-from twlab.errors import BadInterval, DegenerateGauge, MatchFailure
+from twlab.errors import BadInterval, DegenerateGauge
 
 
 def test_l0_traceless_and_structure(hm):
@@ -56,31 +56,6 @@ def test_gauged_L21_x_coefficient(hm, aux_lin):
 def test_zero_curvature_on_trajectory(hm, aux_lin):
     for x in (-2.0, 0.0, 2.0):
         assert laxframe.zero_curvature_residual(aux_lin, hm, x, -4.0) < 1e-6
-
-
-def test_stokes_hastings_mcleod():
-    s = laxframe.StokesData.hastings_mcleod()
-    assert s.cyclic_residual() == 0
-    assert s.is_real_class()
-    assert s.ablowitz_segur_a == 1.0
-
-
-def test_stokes_cyclic_general():
-    # Ablowitz-Segur family: s2 = 0, s1 = -i a = -s3
-    for a in (0.3, -0.7, 1.0):
-        s = laxframe.StokesData(-1j * a, 0.0, 1j * a)
-        assert abs(s.cyclic_residual()) < 1e-15
-        mats = s.matrices()
-        prod = mats[2] @ mats[3]
-        want = np.array([[1.0, -a], [a, 1 - a * a]])
-        assert np.max(np.abs(prod - want)) < 1e-15
-
-
-def test_stokes_s3_s4_product():
-    mats = laxframe.StokesData.hastings_mcleod().matrices()
-    prod = mats[2] @ mats[3]
-    assert np.array_equal(prod.real, np.array([[1.0, -1.0], [1.0, 0.0]]))
-    assert np.max(np.abs(prod.imag)) == 0.0
 
 
 def test_gauge_determinant_bookkeeping(hm, aux_lin):
@@ -138,7 +113,7 @@ def test_wkb_column_structure(hm, aux_lin):
     lim = np.sqrt(u) * (1 - q2) / 2.0
     devs = {}
     for x in (20.0, 40.0):
-        w = laxframe._sweep_columns(np.array([t]), np.array([x]), hm, 60.0, +1)[:, 0, 0]
+        w = laxframe._sweep_columns(np.array([t]), np.array([x]), hm, 60.0)[:, 0, 0]
         n1 = ((1 + q2) * x / 2 - al) / np.sqrt(u) * w[0] + np.sqrt(u) * w[1]
         n2 = (1 - q2 * q2) / 4.0 / np.sqrt(u) * w[0]
         devs[x] = (n1.real - lim, n2.real)
@@ -163,19 +138,18 @@ def test_sweep_against_radau(hm):
         ref = solve_ivp(lambda x, w: jac(x, w) @ w, (15.0, x_nodes[-1]), w0,
                         method="Radau", jac=jac, t_eval=x_nodes, rtol=1e-12,
                         atol=1e-12)
-        got = laxframe._sweep_columns(np.array([t]), x_nodes, hm, 15.0, +1)
+        got = laxframe._sweep_columns(np.array([t]), x_nodes, hm, 15.0)
         assert np.max(np.abs(got[:, :, 0] - ref.y)) <= 1e-8
 
 
-def _reference_sweep(t_rows, x_nodes, hm, x_start, sign):
+def _reference_sweep(t_rows, x_nodes, hm, x_start):
     """The step-by-step form of the Magnus sweep: one substep at a time, its
     entries at the two Gauss points, exp(Omega) by cosh/sinh or cos/sin.
     Returns the columns at the nodes and the number of substeps."""
     u, ut, _ = hm.eval(t_rows)
     delta = -t_rows / 2.0 - u * u
-    w1, w2 = laxframe._series_w_init(sign * x_start, t_rows, u, ut,
+    y0, y1 = laxframe._series_w_init(x_start, t_rows, u, ut,
                                      hm.omega_smooth(t_rows))
-    y0, y1 = (w1, w2) if sign > 0 else (w2, w1)
     h0, knee = laxframe._H0, laxframe._X_KNEE
     g0, g1 = laxframe._GAUSS
     out = np.empty((2, len(x_nodes), len(t_rows)))
@@ -198,7 +172,7 @@ def _reference_sweep(t_rows, x_nodes, hm, x_start, sign):
             f = np.where(s2 > 0, np.sinh(s), np.sin(s)) / np.where(s > 0, s, 1.0)
             f = np.where(s > 0, f, 1.0)
             x_new = xs + h
-            g = np.exp(sign * h * ((x_new**2 + x_new * xs + xs**2) / 6 - t_rows / 2))
+            g = np.exp(h * ((x_new**2 + x_new * xs + xs**2) / 6 - t_rows / 2))
             y0, y1 = (g * ((c + f * P) * y0 + f * Q * y1),
                       g * (f * R * y0 + (c - f * P) * y1))
             xs = x_new
@@ -216,34 +190,20 @@ def test_chunked_sweep_matches_reference_on_pde_grid(hm):
     # criterion 6's grid, every 8th time row
     xi = laxframe.CBRT3 * np.arange(-3.0, 3.0 + 1e-9, 1.0 / 64.0)[::-1]
     ti = distribution.SCALE_T * np.arange(-5.0, 1.0 + 1e-9, 1.0 / 64.0)[::8]
-    ref, total = _reference_sweep(ti, xi, hm, 15.0, +1)
-    got = laxframe._sweep_columns(ti, xi, hm, 15.0, +1)
+    ref, total = _reference_sweep(ti, xi, hm, 15.0)
+    got = laxframe._sweep_columns(ti, xi, hm, 15.0)
     assert _max_rel(got, ref) <= 1e-12
     assert total == laxframe._gap_substeps(15.0, xi).sum() == 4029
-
-
-@pytest.mark.parametrize("t", [-5.0, -2.0, 1.0])
-def test_chunked_sweep_matches_reference_on_slab(hm, t):
-    # the slab's dominant-column sweep from the left; outside the matching
-    # window v is at roundoff (~1e-15) and carries no digits to compare
-    x = np.linspace(-15.0, 15.0, 241)
-    trow = np.array([t])
-    ref, _ = _reference_sweep(trow, x, hm, -15.0, -1)
-    got = laxframe._sweep_columns(trow, x, hm, -15.0, -1)
-    th = laxframe.theta(x, t)
-    win = (th > -4.0) & (th < 8.0)
-    assert win.sum() > 20
-    assert _max_rel(got[:, win], ref[:, win]) <= 1e-12
 
 
 def test_chunked_sweep_edge_cases(hm):
     t_rows = np.array([-3.0, 0.5])
     # a first node at x_start takes no substep and returns the series start
-    got = laxframe._sweep_columns(t_rows, np.array([6.0, 5.0]), hm, 6.0, +1)
+    got = laxframe._sweep_columns(t_rows, np.array([6.0, 5.0]), hm, 6.0)
     u, ut, _ = hm.eval(t_rows)
     start = laxframe._series_w_init(6.0, t_rows, u, ut, hm.omega_smooth(t_rows))
     assert np.array_equal(got[:, 0], np.array(start))
-    ref, _ = _reference_sweep(t_rows, np.array([6.0, 5.0]), hm, 6.0, +1)
+    ref, _ = _reference_sweep(t_rows, np.array([6.0, 5.0]), hm, 6.0)
     assert _max_rel(got, ref) <= 1e-12
     # nodes that end exactly on chunk boundaries, a repeated node included:
     # a gap of 0.01 (n - 1/2) near zero takes n substeps
@@ -252,26 +212,22 @@ def test_chunked_sweep_edge_cases(hm):
     x = 1.0 - np.cumsum(0.01 * np.maximum(counts - 0.5, 0.0))
     ends = np.cumsum(laxframe._gap_substeps(1.0, x))
     assert {laxframe._CHUNK, 2 * laxframe._CHUNK} <= set(ends.tolist())
-    ref, _ = _reference_sweep(t_rows, x, hm, 1.0, +1)
-    assert _max_rel(laxframe._sweep_columns(t_rows, x, hm, 1.0, +1), ref) <= 1e-12
+    ref, _ = _reference_sweep(t_rows, x, hm, 1.0)
+    assert _max_rel(laxframe._sweep_columns(t_rows, x, hm, 1.0), ref) <= 1e-12
     # a single time row, as an array and as a scalar
-    ref, _ = _reference_sweep(np.array([-2.0]), x, hm, 1.0, +1)
+    ref, _ = _reference_sweep(np.array([-2.0]), x, hm, 1.0)
     for trow in (np.array([-2.0]), -2.0):
-        got = laxframe._sweep_columns(trow, x, hm, 1.0, +1)
+        got = laxframe._sweep_columns(trow, x, hm, 1.0)
         assert got.shape == (2, len(x), 1)
         assert _max_rel(got, ref) <= 1e-12
 
 
 def test_sweep_rejects_nodes_on_the_unstable_side(hm):
     t_rows = np.array([0.0])
-    for nodes, x_start, sign in (
-        ([16.0], 15.0, +1),            # beyond x_start
-        ([3.0, 4.0], 15.0, +1),        # turns back toward x_start
-        ([-16.0], -15.0, -1),
-        ([0.0, -1.0], -15.0, -1),
-    ):
+    # a node beyond x_start, and nodes that turn back toward it
+    for nodes in ([16.0], [3.0, 4.0]):
         with pytest.raises(BadInterval):
-            laxframe._sweep_columns(t_rows, np.array(nodes), hm, x_start, sign)
+            laxframe._sweep_columns(t_rows, np.array(nodes), hm, 15.0)
 
 
 def test_expm_traceless_branches():
@@ -309,24 +265,6 @@ def test_psi11_field_memory_is_bounded(hm, aux_lin):
     assert laxframe._SWEPT[fresh][1] is fld.w
     assert fld.substeps == 2280
     assert peak <= 16 * 2**20
-
-
-def test_slab_matching_and_det(hm):
-    stokes = laxframe.StokesData.hastings_mcleod()
-    row = laxframe.solve_psi0_slab(hm, stokes, -2.0)
-    assert row.match_residual < 1e-6
-    assert abs(row.match_factor - 1.0) < 1e-6
-    dets = row.det_window
-    assert np.max(np.abs(dets - dets.mean())) < 1e-8 * abs(dets.mean())
-
-
-def test_slab_rejects_other_stokes_data(hm):
-    with pytest.raises(MatchFailure):
-        laxframe.solve_psi0_slab(hm, laxframe.StokesData(-0.5j, 0.0, 0.5j), -2.0)
-    with pytest.raises(BadInterval):
-        laxframe.solve_psi0_slab(
-            hm, laxframe.StokesData.hastings_mcleod(), -2.0, x_max=10.0
-        )
 
 
 def test_field_reality_and_boundaries(hm, aux_lin):
