@@ -218,6 +218,7 @@ def _cmd_hm_solve(cfg, man):
     man.add_artifact(path)
     man.data["results"] = {
         "newton_iterations": hm.newton_iterations,
+        "coarse_newton_iterations": hm.coarse_newton_iterations,
         "final_update": hm.final_update,
         "u_positive": bool((hm.u > 0).all()),
     }
@@ -245,7 +246,8 @@ def _cmd_aux_solve(cfg, man):
 def _cmd_tw_table(cfg, man):
     hm = _solve_hm(cfg)
     grid = parse_grid(cfg.t_grid)
-    work = {"newton_iterations": hm.newton_iterations}
+    work = {"newton_iterations": hm.newton_iterations,
+            "coarse_newton_iterations": hm.coarse_newton_iterations}
     if cfg.beta == 2:
         table = distribution.tabulate(hm, None, 2, grid)
     else:

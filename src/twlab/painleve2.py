@@ -36,6 +36,8 @@ SQRT2 = np.sqrt(2.0)
 SLOPE_WINDOW = 0.025
 # Newton corrections up to this size skip the line search
 NEWTON_FULL_STEP = 1e-6
+# Newton's start on a grid comes from a grid this many times coarser
+COARSE_FACTOR = 16
 
 # t -> -inf series, coefficients exact as printed: each term is
 # coef * sqrt(2)^s2 * (-t)^expo.  For 'u' the ladder multiplies the leading
@@ -154,8 +156,9 @@ class Painleve2Solution:
     """
 
     table: HermiteTable
-    newton_iterations: int
+    newton_iterations: int          # on the table's own grid
     final_update: float
+    coarse_newton_iterations: int   # on the coarser grids that gave its start
     _int_om_right: np.ndarray = field(repr=False, default=None)   # int_t^tmax omega
     _tail_int_om: float = 0.0      # int_tmax^inf omega
 
@@ -240,9 +243,11 @@ def solve_hastings_mcleod(
 
     Numerov discretization (O(h^4)) of u'' = t u + 2 u^3 with boundary data
     u(t_max) = Ai(t_max) and u(t_min) from the 6-term t -> -inf series;
-    damped Newton with a tridiagonal Jacobian. The initial iterate is the
-    left profile sqrt(-t/2), switched off by a logistic step centered at
-    t = -1, which keeps Newton inside the Hastings-McLeod basin. Steps of
+    damped Newton with a tridiagonal Jacobian. It starts from the solution
+    on a grid COARSE_FACTOR times coarser while that has >= 2000 points
+    (coarse_newton_iterations), else from the left profile sqrt(-t/2),
+    switched off by a logistic step centered at t = -1, which keeps Newton
+    inside the Hastings-McLeod basin. Steps of
     max|du| <= NEWTON_FULL_STEP are taken undamped, and the iteration
     stops once that undamped max|du| (reported as final_update) is below
     tol, so the converged u does not depend on the start.
@@ -257,50 +262,7 @@ def solve_hastings_mcleod(
         raise BadInterval("need n >= 2000")
     t = np.linspace(t_min, t_max, n)
     h = t[1] - t[0]
-
-    u = _start(t)
-    u_series6 = eval_series("u", t_min, 6)
-    u[0] = u_series6
-    u[-1] = specfun.airy(t_max).ai
-
-    c = h * h / 12.0
-
-    def residual(uv):
-        f = t * uv + 2 * uv**3
-        return uv[:-2] - 2 * uv[1:-1] + uv[2:] - c * (f[:-2] + 10 * f[1:-1] + f[2:])
-
-    last_update = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        R = residual(u)
-        fp = t + 6 * u**2
-        ab = np.zeros((3, n - 2))
-        ab[1, :] = -2.0 - 10 * c * fp[1:-1]
-        ab[0, 1:] = 1.0 - c * fp[2:-1]
-        ab[2, :-1] = 1.0 - c * fp[1:-2]
-        du = solve_banded((1, 1), ab, -R)
-        last_update = float(np.max(np.abs(du)))
-        lam = 1.0
-        # near the solution the residual sits at its rounding floor and
-        # cannot decrease: there the full step is taken
-        if last_update > NEWTON_FULL_STEP:
-            nrm0 = float(np.max(np.abs(R)))
-            while lam > 1e-4:
-                un = u.copy()
-                un[1:-1] += lam * du
-                if float(np.max(np.abs(residual(un)))) < nrm0 or lam * last_update < 1e-15:
-                    break
-                lam /= 2
-            del un
-        u[1:-1] += lam * du
-        if last_update < tol:
-            break
-    else:
-        raise NewtonDivergence(
-            f"no contraction after {max_iter} iterations (update {last_update:g})"
-        )
-    # the table is built at the end: release the work arrays before it
-    del R, fp, ab, du
+    u, it, last_update, coarse_it = _solve_on(t, tol, max_iter)
 
     ut = _denoise_slope(t, u, diff5(u, h), h)
     omega = u**4 + t * u**2 - ut**2
@@ -330,9 +292,62 @@ def solve_hastings_mcleod(
         ),
         newton_iterations=it,
         final_update=last_update,
+        coarse_newton_iterations=coarse_it,
         _int_om_right=int_om_right,
         _tail_int_om=float(tail_om),
     )
+
+
+def _solve_on(t, tol, max_iter):
+    """u on the grid t, Newton's iterations and final update there, and the
+    iterations of the coarser stages that gave its start."""
+    n_coarse = (len(t) - 1) // COARSE_FACTOR + 1
+    if n_coarse < 2000:
+        return *_newton(t, _start(t), tol, max_iter), 0
+    tc = np.linspace(t[0], t[-1], n_coarse)
+    uc, it, _, below = _solve_on(tc, tol, max_iter)
+    u = HermiteTable(tc, [uc], [diff5(uc, tc[1] - tc[0])])(t)[0]
+    return *_newton(t, u, tol, max_iter), it + below
+
+
+def _newton(t, u, tol, max_iter):
+    """Damped Newton on the Numerov equations from the iterate u, whose ends
+    are set to the boundary data: u, the iterations and the final update."""
+    c = (t[1] - t[0]) ** 2 / 12.0
+    u[0] = eval_series("u", t[0], 6)
+    u[-1] = specfun.airy(t[-1]).ai
+
+    def residual(uv):
+        f = t * uv + 2 * uv**3
+        return uv[:-2] - 2 * uv[1:-1] + uv[2:] - c * (f[:-2] + 10 * f[1:-1] + f[2:])
+
+    last_update = np.inf
+    for it in range(1, max_iter + 1):
+        R = residual(u)
+        fp = t + 6 * u**2
+        ab = np.zeros((3, len(t) - 2))
+        ab[1, :] = -2.0 - 10 * c * fp[1:-1]
+        ab[0, 1:] = 1.0 - c * fp[2:-1]
+        ab[2, :-1] = 1.0 - c * fp[1:-2]
+        du = solve_banded((1, 1), ab, -R)
+        last_update = float(np.max(np.abs(du)))
+        lam = 1.0
+        # near the solution the residual sits at its rounding floor and
+        # cannot decrease: there the full step is taken
+        if last_update > NEWTON_FULL_STEP:
+            nrm0 = float(np.max(np.abs(R)))
+            while lam > 1e-4:
+                un = u.copy()
+                un[1:-1] += lam * du
+                if float(np.max(np.abs(residual(un)))) < nrm0 or lam * last_update < 1e-15:
+                    break
+                lam /= 2
+            del un
+        u[1:-1] += lam * du
+        if last_update < tol:
+            return u, it, last_update
+    raise NewtonDivergence(f"no contraction after {max_iter} iterations "
+                           f"(update {last_update:g})")
 
 
 def _start(t, centre=-1.0):

@@ -20,8 +20,7 @@ the maps of all steps at once from M at all stage times, then advances
 the state by one matrix product per step. The step is uniform; when
 DOP853's own error estimate exceeds 1 anywhere, the whole pass is redone
 with a smaller step. It serves the linear auxiliary route, ~7x faster
-than stepping it stage by stage, and the determinant window of the
-x-equation.
+than stepping it stage by stage.
 
 HermiteTable is the one cubic Hermite interpolant every table uses (the
 Hastings-McLeod table, the auxiliary trajectory, the CDF table): node
@@ -39,17 +38,19 @@ from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .errors import BadInterval, OutOfRange, StepFailure
 
-# Step cap of solve_rk and first step of solve_linear: with uncapped steps
-# the nonlinear auxiliary route drifts up to ~1e-9 from the linear one
-# (criterion 4); capped, ~1e-13.
-MAX_STEP = 0.05
+# Step cap of solve_rk and first step of solve_linear. On the auxiliary
+# routes over [-11, 12] at rtol 1e-13, caps 0.05 / 0.1 / 0.2 take: linear
+# 460+577 / 230+568 / 115+552 steps (discarded + accepted pass), nonlinear
+# 498 / 337 / 300, its negative control 480 / 315 / 280; max |dq2| between
+# the routes (criterion 4 gates 1e-8) is 2.7 / 3.0 / 8.0e-14.
+MAX_STEP = 0.2
 # DOP853 rejects a relative tolerance below 100 machine epsilons.
 RTOL_FLOOR = 100 * np.finfo(np.float64).eps
 # passes of solve_linear, each with a smaller uniform step, before it gives up
 MAX_TRIES = 4
 # stage evaluations of all passes of solve_linear; a pass holds its stage
 # maps in memory, so this also bounds its size (the auxiliary route takes
-# ~17000)
+# ~10700)
 MAX_STAGE_CALLS = 100_000
 
 # solve_rk's step control, scipy's for DOP853: the step factor is
@@ -219,8 +220,8 @@ def solve_rk(
     StepFailure at the t where the integrator stopped: when a step falls
     below 10 ulps of t, when the end state is not finite, or when the
     next step would take the RHS calls past max_rhs_calls. The default
-    budget is over ten times what an auxiliary route over [-11, 12] takes
-    (~7500); near a singularity whose RHS is dominated by roundoff the
+    budget is over twenty times what an auxiliary route over [-11, 12]
+    takes (~4600); near a singularity whose RHS is dominated by roundoff the
     steps shrink to a few ulps of t without failing, and the budget is
     what stops them.
     """

@@ -105,6 +105,24 @@ def test_hm_solve_run_and_determinism(tmp_path):
     b = open(tmp_path / "b" / "hm.csv", "rb").read()
     assert a == b
     assert a.startswith(b"t,u,ut,omega\n")
+    # 4001 points: the grid 16 times coarser would be too small, so Newton
+    # starts on this grid
+    res = json.load(open(tmp_path / "a" / "manifest.json"))["results"]
+    assert res["coarse_newton_iterations"] == 0
+    assert 1 <= res["newton_iterations"] <= 50
+
+
+def test_hm_solve_records_coarse_stage(tmp_path):
+    # 32001 points: Newton starts from the solve on 2001 points
+    cfg = write_config(
+        tmp_path,
+        {"command": "hm-solve", "hm": {"t_min": -12.0, "t_max": 8.0, "n": 32001}},
+    )
+    assert cli.main(["hm-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    res = json.load(open(tmp_path / "manifest.json"))["results"]
+    assert res["coarse_newton_iterations"] >= 1
+    assert 1 <= res["newton_iterations"] <= 2
+    assert res["final_update"] < 1e-11
 
 
 def test_tw_table_beta2_run(tmp_path):
@@ -122,6 +140,7 @@ def test_tw_table_beta2_run(tmp_path):
     man = json.load(open(tmp_path / "o" / "manifest.json"))
     assert man["results"]["monotone"] is True
     assert 1 <= man["results"]["newton_iterations"] <= 50
+    assert man["results"]["coarse_newton_iterations"] == 0
     assert "steps" not in man["results"]
     rows = open(tmp_path / "o" / "tw2.csv").read().strip().split("\n")
     assert rows[0] == "t,F,logF,pdf"
@@ -137,9 +156,9 @@ def test_aux_solve_run(tmp_path):
     man = json.load(open(tmp_path / "o" / "manifest.json"))
     work = {k: diag[k] for k in ("rhs_calls", "steps", "step_shrinks")}
     assert {k: man["results"][k] for k in work} == work
-    # the route [8, -11.5] starts at 390 steps of 0.05 and shrinks once
+    # the route [8, -11.5] starts at 98 steps of 0.2 and shrinks once
     assert work["step_shrinks"] == 1
-    assert work["rhs_calls"] == 16 * (390 + work["steps"])
+    assert work["rhs_calls"] == 16 * (98 + work["steps"])
 
 
 def test_tw_table_beta6_records_solver_work(tmp_path):
@@ -150,6 +169,7 @@ def test_tw_table_beta6_records_solver_work(tmp_path):
     res = json.load(open(tmp_path / "o" / "manifest.json"))["results"]
     assert res["rows"] == 11 and res["monotone"] is True
     assert 1 <= res["newton_iterations"] <= 50
+    assert res["coarse_newton_iterations"] == 0
     assert res["steps"] > 390 and res["step_shrinks"] >= 1
     assert res["rhs_calls"] > 16 * res["steps"]
 
@@ -197,10 +217,11 @@ def test_verify_pde_coarse(tmp_path):
     # at step 1/16
     assert (rep["sweep_start"], rep["series_terms"]) == (10.0, 16)
     assert rep["sweep_substeps"] == 2088
-    # the negative control's route, b_constraint_scale = 1 on [-11, 12]: 480
-    # DOP853 steps, none rejected, so 2 + 15 RHS calls per step
+    # the negative control's route, b_constraint_scale = 1 on [-11, 12]: 280
+    # DOP853 steps and 7 rejected, so 2 + 15 RHS calls per step + 12 per
+    # rejection
     work = rep["negative_control_work"]
-    assert work == {"rhs_calls": 7202, "steps": 480, "step_shrinks": 0}
+    assert work == {"rhs_calls": 4286, "steps": 280, "step_shrinks": 0}
 
 
 def test_verify_pde_gate_uses_richardson_window():

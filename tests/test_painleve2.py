@@ -130,6 +130,30 @@ def test_newton_result_independent_of_start(hm, monkeypatch, centre):
     assert other.final_update < 1e-11 and hm.final_update < 1e-11
 
 
+def test_coarse_start_matches_fine_only_newton(hm):
+    # the verification grid (52001 points) starts Newton from the solve on
+    # 3251 points; Newton on the fine grid alone, from _start, reaches the
+    # same u
+    t = np.array(hm.grid)
+    u, it, final_update = painleve2._newton(t, painleve2._start(t), 1e-11, 50)
+    assert np.max(np.abs(u - hm.u)) <= 1e-14
+    assert final_update < 1e-11 and it > 2
+    assert hm.coarse_newton_iterations >= 1
+    assert 1 <= hm.newton_iterations <= 2
+
+
+@pytest.mark.parametrize("n, coarse", [(16 * 1998 + 1, False), (16 * 1999 + 1, True)])
+def test_coarse_stage_needs_2000_points(n, coarse):
+    # below 2000 coarse points Newton starts from _start on the grid itself
+    sol = painleve2.solve_hastings_mcleod(t_min=-10.0, t_max=6.0, n=n)
+    assert (sol.coarse_newton_iterations > 0) == coarse
+    assert sol.final_update < 1e-11
+    if not coarse:
+        t = np.array(sol.grid)
+        u, it, _ = painleve2._newton(t, painleve2._start(t), 1e-11, 50)
+        assert np.array_equal(u, sol.u) and it == sol.newton_iterations
+
+
 def test_f2_against_fredholm_at_criterion5_points(hm):
     # criterion 5 gates 1e-8; the solved u supports three decades more
     for t in (-8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0):
