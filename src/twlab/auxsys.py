@@ -60,6 +60,14 @@ class AuxSolution:
     Linear route state: (mu+, mu-, nu, log_kappa, J_omega, J_alpha, J_one)
     where J_x(t) = integral from t_start to t of (omega, alpha,
     (u'/u)(1+q2)). Nonlinear route state: (delta, alpha, log_kappa).
+
+    log_f6 (linear route only; None on the nonlinear one) is the beta = 6
+    log CDF at internal t as a one-row table on the same nodes,
+    L = log((1 - q2)/2) + (tail_int_omega - J_omega)/3 - (2/3) J_alpha
+    + J_one/3, with q2 = (mu+ + mu-)/(mu+ - mu-), so that a query reads
+    one row instead of combining seven. Its slopes come from the node
+    slopes exactly: L' = -q2'/(1 - q2) - J_omega'/3 - (2/3) J_alpha'
+    + J_one'/3, with q2' = 2 (mu+ mu-' - mu- mu+')/(mu+ - mu-)^2.
     """
 
     route: str
@@ -73,6 +81,7 @@ class AuxSolution:
     diagnostics: list = field(default_factory=list)
     tail_int_omega: float = 0.0
     b_constraint_scale: float = 2.0 / 3.0
+    log_f6: HermiteTable | None = None
 
     # --- channel accessors (dense, cubic Hermite) ---
     def delta_at(self, t):
@@ -236,6 +245,7 @@ def integrate_linear(
         raise PoleEncountered(
             f"integration stopped near t={exc.t:.6f} (q2 pole)", t=exc.t
         ) from exc
+    tail = hm.int_omega_to_inf(t_start)
     aux = AuxSolution(
         route="linear",
         t_start=float(t_start),
@@ -245,10 +255,25 @@ def integrate_linear(
         rhs_calls=sol.rhs_calls,
         steps=sol.steps,
         step_shrinks=sol.step_shrinks,
-        tail_int_omega=hm.int_omega_to_inf(t_start),
+        tail_int_omega=tail,
+        log_f6=_log_f6_table(sol, tail),
     )
     aux.diagnostics = _q2_zero_events(aux)
     return aux
+
+
+def _log_f6_table(sol, tail_int_omega) -> HermiteTable:
+    """AuxSolution.log_f6 from the linear route's node values and slopes."""
+    (mp, mm, _, _, j_om, j_al, j_one), yp = sol.y, sol.yp
+    chi = mp - mm
+    q2 = (mp + mm) / chi
+    # q2 > 1 (never on the distribution's trajectory) reads NaN, not a warning
+    with np.errstate(invalid="ignore"):
+        log_f = (np.log((1.0 - q2) / 2.0) + (tail_int_omega - j_om) / 3.0
+                 - (2.0 / 3.0) * j_al + j_one / 3.0)
+        q2p = 2.0 * (mp * yp[1] - mm * yp[0]) / (chi * chi)
+        slope = -q2p / (1.0 - q2) - yp[4] / 3.0 - (2.0 / 3.0) * yp[5] + yp[6] / 3.0
+    return HermiteTable(sol.t, [log_f], [slope])
 
 
 def integrate_nonlinear(

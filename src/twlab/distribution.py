@@ -75,12 +75,14 @@ def log_F6(hm: painleve2.Painleve2Solution, aux: auxsys.AuxSolution, t):
     log F6 = log((1 - q2)/2) + (1/3) I_omega + (2/3) I_alpha - (1/3) I_one
     with I_x = int_{t_int}^inf of (omega, alpha, (u'/u)(1+q2)). The tails
     beyond t_start: I_omega's is computed from the Airy decay, the other two
-    are bounded by u(t_start)^2-scale and dropped.
+    are bounded by u(t_start)^2-scale and dropped. The sum is tabulated once
+    per solve, as the one-row table aux.log_f6 (values and exact slopes at
+    the aux nodes, see AuxSolution), so a query is one Hermite lookup.
 
-    A scalar t gives a float, computed on floats by the same formula and
-    equal to the array path bit for bit. NaN raises OutOfRange.
+    A scalar t gives a float, computed on floats and equal to the array
+    path bit for bit. NaN raises OutOfRange.
     """
-    if aux.route != "linear":
+    if aux.log_f6 is None:
         raise BadInterval("log_F6 needs the linear-route AuxSolution")
     scalar = _is_scalar(t)
     ti = SCALE_T * (float(t) if scalar else np.asarray(t, dtype=np.float64))
@@ -92,18 +94,12 @@ def log_F6(hm: painleve2.Painleve2Solution, aux: auxsys.AuxSolution, t):
     # right of t_start 1 - F6 is below the u(t_start)^2 scale (~1e-13)
     if scalar and ti > aux.t_start:
         return 0.0
-    # q2 and the three J channels of the trajectory, from one table lookup
-    # (which NaN reaches, and raises in)
-    y = aux.table(ti if scalar else np.minimum(ti, aux.t_start))
-    q2 = (y[0] + y[1]) / (y[0] - y[1])
-    i_om = -y[4] + aux.tail_int_omega
-    i_al = -y[5]
-    i_one = -y[6]
-    log_f = np.log((1.0 - q2) / 2.0) + i_om / 3.0 + (2.0 / 3.0) * i_al - i_one / 3.0
+    # one row, one lookup (which NaN reaches, and raises in)
+    log_f = aux.log_f6(ti if scalar else np.minimum(ti, aux.t_start))[0]
     # roundoff in the saturated tail would otherwise give F6 = 1 + ulp; the
     # float cap is np.minimum's (NaN stays NaN, -0.0 gives 0.0)
     if scalar:
-        return 0.0 if log_f >= 0.0 else float(log_f)
+        return 0.0 if log_f >= 0.0 else log_f
     return np.where(ti > aux.t_start, 0.0, np.minimum(log_f, 0.0))
 
 

@@ -23,9 +23,9 @@ with a smaller step. It serves the linear auxiliary route, ~7x faster
 than stepping it stage by stage.
 
 HermiteTable is the one cubic Hermite interpolant every table uses (the
-Hastings-McLeod table, the auxiliary trajectory, the CDF table): node
-values and slopes on a uniform grid, error ~h^4. diff5 is the one 5-point
-first-derivative stencil.
+Hastings-McLeod table, the auxiliary trajectory and its log F6 row, the
+CDF table): node values and slopes on a uniform grid, error ~h^4. diff5
+is the one 5-point first-derivative stencil.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ MAX_TRIES = 4
 MAX_STAGE_CALLS = 100_000
 
 # solve_rk's step control, scipy's for DOP853: the step factor is
-# SAFETY err^(-1/8), clamped to [MIN_FACTOR, MAX_FACTOR]
+# SAFETY err^(-1/8), clamped to [MIN_FACTOR, MAX_FACTOR]. solve_linear
+# shrinks by SAFETY err^(-1/8) unclamped, and by MIN_FACTOR when err is
+# not finite
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -355,8 +357,9 @@ def solve_linear(
     The first pass takes the largest uniform step not above MAX_STEP. A
     pass is accepted when DOP853's error estimate (scipy's E3/E5 norm over
     all channels, with rtol and atol) is below 1 on every step; otherwise
-    the step shrinks by max(0.2, 0.9 err^(-1/8)) for the worst step and the
-    pass is redone. rtol below RTOL_FLOOR is raised to it. Raises
+    the step shrinks by 0.9 err^(-1/8) for the worst step's err (by
+    MIN_FACTOR when that err is not finite), without scipy's 0.2 floor, and
+    the pass is redone. rtol below RTOL_FLOOR is raised to it. Raises
     StepFailure at the worst step's t after MAX_TRIES passes, or when a
     pass would take the stage evaluations past MAX_STAGE_CALLS.
     """
@@ -376,7 +379,8 @@ def solve_linear(
         worst = int(np.argmax(err))
         if err[worst] < 1.0:
             break
-        factor = max(MIN_FACTOR, SAFETY * err[worst] ** ERROR_EXPONENT)
+        e = err[worst]
+        factor = SAFETY * e ** ERROR_EXPONENT if np.isfinite(e) else MIN_FACTOR
         n_steps = int(np.ceil(span / (abs(h) * factor)))
     else:
         raise StepFailure(
@@ -444,12 +448,13 @@ def _error_norm(k, h, scale):
     is atol + rtol max(|y_n|, |y_n+1|) per channel. A norm that is not
     finite reads inf."""
     k = k.reshape(len(k), -1)           # as np.tensordot contracts, cheaper
-    e5 = ((np.dot(_E5, k).reshape(scale.shape) / scale) ** 2).sum(axis=-1)
-    e3 = ((np.dot(_E3, k).reshape(scale.shape) / scale) ** 2).sum(axis=-1)
-    denom = np.sqrt((e5 + 0.01 * e3) * scale.shape[-1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        err = np.where(denom > 0, abs(h) * e5 / denom, 0.0)
-    return np.where(np.isnan(err), np.inf, err)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        e5 = ((np.dot(_E5, k).reshape(scale.shape) / scale) ** 2).sum(axis=-1)
+        e3 = ((np.dot(_E3, k).reshape(scale.shape) / scale) ** 2).sum(axis=-1)
+        denom = np.sqrt((e5 + 0.01 * e3) * scale.shape[-1])
+        err = np.where(denom == 0, 0.0, abs(h) * e5 / denom)
+    # a NaN or inf stage makes denom NaN or inf; finite, it bounds e5
+    return np.where(np.isfinite(denom), err, np.inf)
 
 
 def _dense_output(z, k, h, n, x):

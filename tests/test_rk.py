@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -27,6 +28,17 @@ def test_step_failure_on_singular_rhs():
     with pytest.raises(StepFailure) as exc:
         rk.solve_rk(lambda t, y: [y[0] ** 2], 0.0, 2.0, [1.0], h_out=0.1)
     assert abs(exc.value.t - 1.0) < 1e-6
+
+
+def test_non_finite_stage_fails_the_error_test():
+    # a NaN stage is rejected, as scipy rejects it: the steps shrink onto
+    # t = 0.5 instead of carrying NaN to the end of the interval
+    k = np.ones((13, 2))
+    k[3, 0] = np.nan
+    assert rk._error_norm(k, 0.1, np.ones(2)) == np.inf
+    with pytest.raises(StepFailure) as exc:
+        rk.solve_rk(lambda t, y: [math.nan if t > 0.5 else -y[0]], 0.0, 1.0, [1.0])
+    assert abs(exc.value.t - 0.5) < 1e-12
 
 
 def test_step_budget_counts_rhs_calls():
@@ -136,7 +148,9 @@ def test_solve_linear_airy_both_directions(t0, t1):
     # node derivatives come from M at the nodes: (Ai', t Ai)
     assert np.max(np.abs(sol.yp[0] - aip)) <= 1e-12 * np.abs(aip).max()
     assert np.array_equal(sol.yp[1], sol.t * sol.y[0])
-    # two discarded passes, 35 steps of 0.2 and then 115 or 123 steps
+    # two discarded passes: 35 steps of 0.2, then the worst step's
+    # 0.9 err^(-1/8) (0.30 of it, above MIN_FACTOR) gives 115 or 123 steps,
+    # whose error estimate still exceeds 1, then 140
     assert (sol.steps, sol.step_shrinks) == (140, 2)
     assert sol.rhs_calls == 16 * (35 + {-4.0: 115, 3.0: 123}[t0] + sol.steps)
 
@@ -174,6 +188,30 @@ def test_solve_linear_shrinks_the_step():
     assert np.max(np.abs(sol.y[0] - np.exp(-30.0 * sol.t))) < 1e-13
 
 
+def test_solve_linear_shrink_is_unclamped():
+    # at h = 0.2, h lam = -20: the worst step's err asks for a factor far
+    # below MIN_FACTOR, which would run 5, 25, 125 and 625 steps and fail
+    passes = []
+    sol = rk.solve_linear(_decay_system(-100.0, passes), 0.0, 1.0, [1.0], h_out=0.01)
+    assert [p // 16 for p in passes[:-1]] == [5, 229, 769]
+    assert (sol.steps, sol.step_shrinks) == (769, 2)
+    assert np.max(np.abs(sol.y[0] - np.exp(-100.0 * sol.t))) < 1e-13
+
+
+def test_solve_linear_non_finite_error_shrinks_by_min_factor():
+    # a NaN coefficient right of t = 0.5 makes every pass's err inf, which
+    # has no err^(-1/8) factor: each retry takes MIN_FACTOR of the step
+    passes = []
+
+    def system(t):
+        passes.append(len(t))
+        return np.where(t > 0.5, np.nan, -1.0)[:, None, None], None
+
+    with pytest.raises(StepFailure):
+        rk.solve_linear(system, 0.0, 1.0, [1.0])
+    assert [p // 16 for p in passes] == [5, 25, 125, 625]
+
+
 def test_solve_linear_step_failure_after_bounded_tries(monkeypatch):
     passes = []
     monkeypatch.setattr(rk, "MAX_TRIES", 2)
@@ -182,7 +220,7 @@ def test_solve_linear_step_failure_after_bounded_tries(monkeypatch):
     assert len(passes) == 2
     assert 0.0 <= exc.value.t <= 1.0
     # a pass that would exceed the stage budget is not started: the second
-    # one, 25 steps, would take the calls to 16 * (5 + 25)
+    # one, 183 steps, would take the calls to 16 * (5 + 183)
     passes.clear()
     monkeypatch.setattr(rk, "MAX_STAGE_CALLS", 400)
     with pytest.raises(StepFailure):
@@ -217,10 +255,11 @@ def test_solve_linear_guard_runs_before_step_control():
 def _tables(hm, aux):
     grid = -4.5 + 0.02 * np.arange(401)
     cdf = distribution.tabulate(hm, aux, 6, grid)._table
-    return {"hm": hm.table, "aux": aux.table, "cdf": cdf}
+    return {"hm": hm.table, "aux": aux.table, "log_f6": aux.log_f6, "cdf": cdf}
 
 
-@pytest.mark.parametrize("kind, rows", [("hm", 4), ("aux", 7), ("cdf", 1)])
+@pytest.mark.parametrize("kind, rows",
+                         [("hm", 4), ("aux", 7), ("log_f6", 1), ("cdf", 1)])
 def test_hermite_float_path_is_the_array_path(hm, aux_lin, kind, rows):
     table = _tables(hm, aux_lin)[kind]
     assert table.nodes.shape[2] == rows
