@@ -382,7 +382,6 @@ def pde_gates_ok(r1, r2, rb, step) -> bool:
 
 
 def _cmd_mc_edge(cfg, man):
-    hm = _solve_hm(cfg)
     s = oracles.sample_edge(cfg.oracle.n, float(cfg.beta), cfg.oracle.count,
                             cfg.oracle.seed)
     if cfg.beta == 2:
@@ -392,6 +391,7 @@ def _cmd_mc_edge(cfg, man):
         ks = oracles.ks_distance(s, ref.cdf)
         bound = 0.02
     else:
+        hm = _solve_hm(cfg)
         aux = _solve_aux(cfg, hm)
         lo = max(-4.5, (aux.t_end + 0.3) / distribution.SCALE_T)
         grid = np.linspace(lo, 3.5, 257)

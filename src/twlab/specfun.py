@@ -25,6 +25,7 @@ __all__ = [
     "airy_grid",
     "gauss_legendre",
     "integrate_to_infinity",
+    "inverse_node_gaps",
 ]
 
 AIRY_T_MIN = -30.0
@@ -93,6 +94,18 @@ def _gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+@functools.lru_cache(maxsize=8)
+def inverse_node_gaps(m: int) -> np.ndarray:
+    """1/(x_i - x_j) over the nodes of the m-point rule on [-1, 1], 0 on
+    the diagonal, read-only; on (a, b) the gaps are (b - a)/2 times these."""
+    x, _ = _gauss_legendre_unit(m)
+    gap = np.subtract.outer(x, x)
+    gap.flat[:: m + 1] = np.inf
+    inv = 1.0 / gap
+    inv.flags.writeable = False
+    return inv
 
 
 def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:

@@ -8,7 +8,7 @@ import numpy as np
 
 import pytest
 
-from twlab import cli
+from twlab import cli, distribution, oracles, painleve2
 from twlab.errors import ParseError
 
 
@@ -192,6 +192,28 @@ def test_mc_edge_run_reports_ks(tmp_path):
     assert (rc == 0) == (ks <= man["results"]["bound"])
     summary = json.load(open(tmp_path / "o" / "edge_beta2_summary.json"))
     assert summary["count"] == 2000 and summary["seed"] == 7
+
+
+def test_mc_edge_beta2_skips_hastings_mcleod(tmp_path, monkeypatch):
+    # beta = 2 compares against the Airy determinant alone, so the run
+    # must neither solve Painleve II nor depend on that solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("mc-edge --beta 2 solved Hastings-McLeod")
+
+    monkeypatch.setattr(painleve2, "solve_hastings_mcleod", no_solve)
+    out = tmp_path / "o"
+    rc = cli.main(["mc-edge", "--beta", "2", "--n", "100", "--count", "2000",
+                   "--seed", "1234", "--m", "60", "--out", str(out)])
+    assert rc == 0
+    s = oracles.sample_edge(100, 2.0, 2000, 1234)
+    grid = np.linspace(-9.0, 4.0, 261)
+    ref = distribution.table_from_values(
+        2, grid, np.array([oracles.airy_kernel_fredholm(x, 60) for x in grid]))
+    s.export_csv(tmp_path / "edge.csv")
+    s.export_summary(tmp_path / "summary.json", ks=oracles.ks_distance(s, ref.cdf))
+    assert (out / "edge_beta2.csv").read_bytes() == (tmp_path / "edge.csv").read_bytes()
+    assert ((out / "edge_beta2_summary.json").read_bytes()
+            == (tmp_path / "summary.json").read_bytes())
 
 
 def test_tails_compare_beta2(tmp_path):
