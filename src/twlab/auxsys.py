@@ -12,8 +12,6 @@ augmented quadrature states.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -44,8 +42,6 @@ __all__ = [
     "eta_residual",
     "q2eq3_residual",
     "compatibility_residuals",
-    "export_csv",
-    "export_diagnostics",
 ]
 
 # bound on |q2| (linear route) and on |delta|, |alpha| (nonlinear route);
@@ -175,7 +171,6 @@ def integrate_linear(
     t_start: float = 12.0,
     t_end: float = -11.0,
     tol: float = 1e-13,
-    h_out: float = 0.002,
     init=(0.0, 1.0, 0.0),
 ) -> AuxSolution:
     """Integrate the linear (mu+, mu-, nu) system backward from t_start.
@@ -236,7 +231,7 @@ def integrate_linear(
     try:
         sol = solve_linear(
             system, t_start, t_end, init, [-0.5 * np.log(u_start), 0.0, 0.0, 0.0],
-            rtol=tol, atol=1e-24, h_out=h_out, guard=guard,
+            rtol=tol, atol=1e-24, guard=guard,
         )
     except StepFailure as exc:
         # the (mu+, mu-, nu) channels are linear with smooth coefficients:
@@ -281,7 +276,6 @@ def integrate_nonlinear(
     t_start: float = 12.0,
     t_end: float = -11.0,
     tol: float = 1e-13,
-    h_out: float = 0.002,
     b_constraint_scale: float = 2.0 / 3.0,
 ) -> AuxSolution:
     """Integrate the nonlinear (q2, alpha) system backward from (-1, 0).
@@ -306,7 +300,6 @@ def integrate_nonlinear(
         [0.0, 0.0, -0.5 * np.log(u_start)],
         rtol=tol,
         atol=1e-24,
-        h_out=h_out,
     )
     aux = AuxSolution(
         route="nonlinear",
@@ -736,36 +729,3 @@ def compatibility_residuals(
     }
     return {name: abs(lhs[name] - rhs[name]) for name in lhs}
 
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-def export_csv(aux: AuxSolution, path) -> None:
-    """t,mu_plus,mu_minus,nu,q2,alpha,log_kappa rows at the output nodes."""
-    y = aux.table.y
-    if aux.route == "linear":
-        mu, lk = (y[0], y[1], y[2]), y[3]
-    else:
-        mu, lk = (np.full(len(aux.grid), np.nan),) * 3, y[2]
-    cols = (aux.grid, *mu, aux.q2_nodes(), aux.alpha_at(aux.grid), lk)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["t", "mu_plus", "mu_minus", "nu", "q2", "alpha", "log_kappa"])
-        for row in zip(*cols):
-            wr.writerow([f"{v:.17g}" for v in row])
-
-
-def export_diagnostics(aux: AuxSolution, path) -> None:
-    payload = {
-        "route": aux.route,
-        "t_start": aux.t_start,
-        "t_end": aux.t_end,
-        "events": [{"t": float(t), "event": name} for t, name in aux.diagnostics],
-        "rhs_calls": aux.rhs_calls,
-        "steps": aux.steps,
-        "step_shrinks": aux.step_shrinks,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

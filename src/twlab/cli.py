@@ -6,12 +6,18 @@ manifest with content hashes, versions, and the measured residuals. Exit
 status: 0 all asserted tolerances met, 1 a tolerance or runtime failure,
 2 a configuration error. Errors are mirrored as machine-readable JSON on
 stderr.
+
+This module is the package's only file writer. Every CSV artifact goes
+through `write_csv` (a header row, then values with 17 significant
+digits) and every JSON document through `write_json` (indent 2, sorted
+keys, a final newline).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -64,14 +70,11 @@ class RunConfig:
     window: str = "-9:-6"
     grid_step: float = 1.0 / 64.0
     out: str = "out"
-    format: str = "csv"
 
     def validate(self):
         for name, val in (("hm.tol", self.hm.tol), ("aux.tol", self.aux.tol)):
             if val <= 0:
                 raise ParseError(f"{name} must be positive")
-        if self.format not in ("csv", "json"):
-            raise ParseError(f"unknown format {self.format!r}")
         return self
 
 
@@ -123,8 +126,21 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def save_config(cfg: RunConfig, path) -> None:
+    write_json(path, config_to_dict(cfg))
+
+
+def write_csv(path, header, columns) -> None:
+    """A header row, then row i of the columns: every value with 17
+    significant digits, so each float reads back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -175,17 +191,24 @@ class Manifest:
             "status": "ok",
         }
 
-    def add_artifact(self, path):
+    def csv(self, name, header, columns):
+        """Write the CSV artifact `name` into the out dir and record it."""
+        self._add(name, write_csv, header, columns)
+
+    def json(self, name, payload):
+        """Write the JSON artifact `name` into the out dir and record it."""
+        self._add(name, write_json, payload)
+
+    def _add(self, name, writer, *args):
+        path = os.path.join(self.out_dir, name)
+        writer(path, *args)
         self.data["artifacts"].append(
-            {"path": os.path.basename(path), "sha256": _sha256(path),
-             "bytes": os.path.getsize(path)}
+            {"path": name, "sha256": _sha256(path), "bytes": os.path.getsize(path)}
         )
 
     def write(self):
         path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.data)
         return path
 
 
@@ -203,6 +226,14 @@ def _solve_aux(cfg: RunConfig, hm) -> auxsys.AuxSolution:
     )
 
 
+def _fine_hm(t_min=-13.0) -> painleve2.Painleve2Solution:
+    """Hastings-McLeod on [t_min, 13] at step 5e-4: the verification and
+    tail-constant solve."""
+    return painleve2.solve_hastings_mcleod(
+        t_min, 13.0, int((13 - t_min) / 5e-4) + 1, 1e-11
+    )
+
+
 def _aux_work(aux) -> dict:
     """The aux route's work counters, as the manifest records them."""
     return {"rhs_calls": aux.rhs_calls, "steps": aux.steps,
@@ -213,9 +244,7 @@ def _aux_work(aux) -> dict:
 
 def _cmd_hm_solve(cfg, man):
     hm = _solve_hm(cfg)
-    path = os.path.join(cfg.out, "hm.csv")
-    painleve2.export_csv(hm, path)
-    man.add_artifact(path)
+    man.csv("hm.csv", ["t", "u", "ut", "omega"], (hm.grid, hm.u, hm.ut, hm.omega))
     man.data["results"] = {
         "newton_iterations": hm.newton_iterations,
         "coarse_newton_iterations": hm.coarse_newton_iterations,
@@ -228,12 +257,14 @@ def _cmd_hm_solve(cfg, man):
 def _cmd_aux_solve(cfg, man):
     hm = _solve_hm(cfg)
     aux = _solve_aux(cfg, hm)
-    path = os.path.join(cfg.out, "aux.csv")
-    auxsys.export_csv(aux, path)
-    man.add_artifact(path)
-    diag = os.path.join(cfg.out, "aux_diagnostics.json")
-    auxsys.export_diagnostics(aux, diag)
-    man.add_artifact(diag)
+    y = aux.table.y
+    man.csv("aux.csv", ["t", "mu_plus", "mu_minus", "nu", "q2", "alpha", "log_kappa"],
+            (aux.grid, y[0], y[1], y[2], aux.q2_nodes(), aux.alpha_at(aux.grid), y[3]))
+    man.json("aux_diagnostics.json", {
+        "route": aux.route, "t_start": aux.t_start, "t_end": aux.t_end,
+        "events": [{"t": float(t), "event": name} for t, name in aux.diagnostics],
+        **_aux_work(aux),
+    })
     q2_end = float(aux.q2_at(aux.t_start))
     man.data["results"] = {
         "q2_at_start": q2_end,
@@ -254,19 +285,16 @@ def _cmd_tw_table(cfg, man):
         aux = _solve_aux(cfg, hm)
         work.update(_aux_work(aux))
         table = distribution.tabulate(hm, aux, 6, grid)
-    path = os.path.join(cfg.out, f"tw{cfg.beta}.csv")
-    table.export_csv(path)
-    man.add_artifact(path)
-    meta = os.path.join(cfg.out, f"tw{cfg.beta}_metadata.json")
-    table.export_metadata(meta)
-    man.add_artifact(meta)
+    man.csv(f"tw{cfg.beta}.csv", ["t", "F", "logF", "pdf"],
+            (table.t, table.F, table.logF, table.pdf))
+    man.json(f"tw{cfg.beta}_metadata.json", table.metadata)
     monotone = distribution.is_effectively_monotone(table.F)
     man.data["results"] = {"monotone": monotone, "rows": len(grid), **work}
     return 0 if monotone else 1
 
 
 def _verification_inputs():
-    hm = painleve2.solve_hastings_mcleod(-13.0, 13.0, 52001, 1e-11)
+    hm = _fine_hm()
     aux = auxsys.integrate_linear(hm, t_start=12.0, t_end=-11.0)
     return hm, aux
 
@@ -312,11 +340,7 @@ def _cmd_verify_identities(cfg, man):
         "compatibility": rumsys,
         "zero_curvature_at_t_minus4": zc,
     }
-    path = os.path.join(cfg.out, "identities.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    man.add_artifact(path)
+    man.json("identities.json", report)
     man.data["results"] = report
     ok = (
         worst["r2_plus_t_half"] <= 1e-12
@@ -355,19 +379,11 @@ def _cmd_verify_pde(cfg, man):
         "sweep_start": fld.sweep_start,
         "series_terms": laxframe.SERIES_TERMS,
     }
-    path = os.path.join(cfg.out, "pde_report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    man.add_artifact(path)
-    field_csv = os.path.join(cfg.out, "field_coarse.csv")
-    sub = laxframe.PsiField(
-        x_ext=fld.x_ext[::8], t_ext=fld.t_ext[::8], x_int=fld.x_int[::8],
-        t_int=fld.t_int[::8], w=fld.w[:, ::8, ::8], psi11=fld.psi11[::8, ::8],
-        substeps=fld.substeps, sweep_start=fld.sweep_start,
-    )
-    sub.export_csv(field_csv)
-    man.add_artifact(field_csv)
+    man.json("pde_report.json", report)
+    # every 8th node of each axis, rows x-major, in external coordinates
+    x, t = fld.x_ext[::8], fld.t_ext[::8]
+    man.csv("field_coarse.csv", ["x", "t", "re_psi11"],
+            (np.repeat(x, len(t)), np.tile(t, len(x)), fld.psi11[::8, ::8].ravel()))
     man.data["results"] = report
     return 0 if pde_gates_ok(r1, r2, rb, step) else 1
 
@@ -398,12 +414,13 @@ def _cmd_mc_edge(cfg, man):
         table = distribution.tabulate(hm, aux, 6, grid)
         ks = oracles.ks_distance(s, table.cdf)
         bound = 0.03
-    path = os.path.join(cfg.out, f"edge_beta{cfg.beta}.csv")
-    s.export_csv(path)
-    man.add_artifact(path)
-    summary = os.path.join(cfg.out, f"edge_beta{cfg.beta}_summary.json")
-    s.export_summary(summary, ks=ks)
-    man.add_artifact(summary)
+    man.csv(f"edge_beta{cfg.beta}.csv", ["index", "lambda_max", "scaled_s"],
+            (range(len(s.samples)), s.lambda_max, s.samples))
+    man.json(f"edge_beta{cfg.beta}_summary.json", {
+        "n": s.n, "beta": s.beta, "count": len(s.samples), "seed": s.seed,
+        "block_rows": s.block_rows, "laguerre_rounds": s.laguerre_rounds,
+        "ks": float(ks),
+    })
     man.data["results"] = {"ks": ks, "bound": bound}
     return 0 if ks <= bound else 1
 
@@ -411,12 +428,7 @@ def _cmd_mc_edge(cfg, man):
 def _cmd_fredholm_f2(cfg, man):
     grid = parse_grid(cfg.t_grid)
     vals = np.array([oracles.airy_kernel_fredholm(tv, cfg.m) for tv in grid])
-    path = os.path.join(cfg.out, "fredholm_f2.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("t,F2\n")
-        for tv, v in zip(grid, vals):
-            fh.write(f"{tv:.17g},{v:.17g}\n")
-    man.add_artifact(path)
+    man.csv("fredholm_f2.csv", ["t", "F2"], (grid, vals))
     man.data["results"] = {"rows": len(grid), "m": cfg.m}
     return 0
 
@@ -425,28 +437,19 @@ def _cmd_tails_compare(cfg, man):
     lo, hi = parse_window(cfg.window)
     beta = cfg.beta
     if beta == 2:
-        hm = painleve2.solve_hastings_mcleod(min(-13.0, lo - 1.5), 13.0,
-                                             int((13 - min(-13.0, lo - 1.5)) / 5e-4) + 1,
-                                             1e-11)
-        coef = [float(x) for x in asymptotics.exact_tail_coefficients(2)]
-        coefficients = (coef[0], coef[1] * np.sqrt(2.0), coef[2])
-        c0_est, drift = asymptotics.extract_constant(
-            lambda tv: distribution.log_F2(hm, tv), coefficients, (lo, hi)
-        )
+        hm = _fine_hm(min(-13.0, lo - 1.5))
+        log_f = functools.partial(distribution.log_F2, hm)
     elif beta == 6:
         t_int_lo = distribution.SCALE_T * lo - 1.0
-        t_min = min(-13.0, t_int_lo - 1.0)
-        hm = painleve2.solve_hastings_mcleod(
-            t_min, 13.0, int((13 - t_min) / 5e-4) + 1, 1e-11
-        )
+        hm = _fine_hm(min(-13.0, t_int_lo - 1.0))
         aux = auxsys.integrate_linear(hm, t_start=12.0, t_end=t_int_lo)
-        coef = [float(x) for x in asymptotics.exact_tail_coefficients(6)]
-        coefficients = (coef[0], coef[1] * np.sqrt(2.0), coef[2])
-        c0_est, drift = asymptotics.extract_constant(
-            lambda tv: distribution.log_F6(hm, aux, tv), coefficients, (lo, hi)
-        )
+        log_f = functools.partial(distribution.log_F6, hm, aux)
     else:
         raise ParseError("tails-compare: beta must be 2 or 6")
+    coef = [float(x) for x in asymptotics.exact_tail_coefficients(beta)]
+    c0_est, drift = asymptotics.extract_constant(
+        log_f, (coef[0], coef[1] * np.sqrt(2.0), coef[2]), (lo, hi)
+    )
     report = {
         "beta": beta,
         "window": [lo, hi],
@@ -454,11 +457,7 @@ def _cmd_tails_compare(cfg, man):
         "c0_extracted": c0_est,
         "drift": drift,
     }
-    path = os.path.join(cfg.out, f"tails_beta{beta}.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    man.add_artifact(path)
+    man.json(f"tails_beta{beta}.json", report)
     man.data["results"] = report
     return 0
 
@@ -508,8 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _normalize_argv(argv):
     """Join '--t -4:4:0.1' style pairs so leading-minus values parse."""
-    if argv is None:
-        return None
     out = []
     i = 0
     while i < len(argv):
@@ -524,9 +521,7 @@ def _normalize_argv(argv):
 
 
 def main(argv=None) -> int:
-    import sys as _sys
-
-    argv = _normalize_argv(argv if argv is not None else _sys.argv[1:])
+    argv = _normalize_argv(argv if argv is not None else sys.argv[1:])
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()

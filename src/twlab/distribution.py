@@ -11,9 +11,7 @@ the q2-route is kept and cross-checked on the right of the crossing.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -113,12 +111,12 @@ def eval_F6_q2route(
     hm: painleve2.Painleve2Solution,
     aux: auxsys.AuxSolution,
     t: float,
-    n_quad: int = 400,
 ) -> float:
     """The (q2-1)/(2 q2) prefactor form, valid only right of the q2 zero.
 
     Raises QZeroCrossing when q2 vanishes inside [t_int, t_start]; use
-    eval_F6 (same function, smooth integrands) there instead.
+    eval_F6 (same function, smooth integrands) there instead. The q2
+    integral takes 400 Gauss-Legendre nodes.
     """
     ti = SCALE_T * float(t)
     if ti > aux.t_start:
@@ -131,7 +129,7 @@ def eval_F6_q2route(
                 f"q2 vanishes at internal t={tz:.6f} inside the integration range"
             )
     q2 = float(aux.q2_at(ti))
-    rule = specfun.gauss_legendre(n_quad, ti, aux.t_start)
+    rule = specfun.gauss_legendre(400, ti, aux.t_start)
     u, ut, _ = hm.eval(rule.nodes)
     q2s = aux.q2_at(rule.nodes)
     i_two = float(np.dot(rule.weights, (ut / u) * (1.0 + q2s) / q2s))
@@ -170,23 +168,6 @@ class DistTable:
         if _is_scalar(tq):
             return self._table(min(max(float(tq), lo), hi))[0]
         return self._table(np.clip(tq, lo, hi))[0]
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["t", "F", "logF", "pdf"])
-            for i in range(len(self.t)):
-                wr.writerow(
-                    [
-                        f"{v:.17g}"
-                        for v in (self.t[i], self.F[i], self.logF[i], self.pdf[i])
-                    ]
-                )
-
-    def export_metadata(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _array_hash(*arrays) -> str:

@@ -62,14 +62,6 @@ class PsiField:
     substeps: int               # Magnus substeps of the x-sweep
     sweep_start: float          # internal x of the series start
 
-    def export_csv(self, path) -> None:
-        """x,t,re_psi11 rows (external coordinates)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("x,t,re_psi11\n")
-            for i, xv in enumerate(self.x_ext):
-                for j, tv in enumerate(self.t_ext):
-                    fh.write(f"{xv:.17g},{tv:.17g},{self.psi11[i, j]:.17g}\n")
-
 
 def theta(x, t):
     return x**3 / 6.0 - x * t / 2.0

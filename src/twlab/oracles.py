@@ -8,8 +8,6 @@ the largest eigenvalue extracted by Laguerre's iteration.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,37 +39,13 @@ class EdgeSampleSet:
     block_rows: int       # m: rows of the top-left block that is searched
     laguerre_rounds: int  # Laguerre passes, summed over the 4096-sample blocks
 
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["index", "lambda_max", "scaled_s"])
-            for i in range(len(self.samples)):
-                wr.writerow(
-                    [i, f"{self.lambda_max[i]:.17g}", f"{self.samples[i]:.17g}"]
-                )
 
-    def export_summary(self, path, ks: float | None = None) -> None:
-        payload = {
-            "n": self.n,
-            "beta": self.beta,
-            "count": int(len(self.samples)),
-            "seed": self.seed,
-            "block_rows": self.block_rows,
-            "laguerre_rounds": self.laguerre_rounds,
-        }
-        if ks is not None:
-            payload["ks"] = float(ks)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def airy_kernel_fredholm(t: float, m: int = 120, span: float | None = None) -> float:
+def airy_kernel_fredholm(t: float, m: int = 120) -> float:
     """det(I - K_Airy) on L^2(t, inf) by Nystrom discretization.
 
-    Gauss-Legendre nodes s_i with weights w_i on [t, t + span], where the
-    truncation point is chosen so the dropped tail is far below the
-    determinant tolerance. With a = sqrt(w) Ai and a' = sqrt(w) Ai' at the
+    Gauss-Legendre nodes s_i with weights w_i on [t, t + span], span =
+    max(14, 12 - t), a truncation point that puts the dropped tail far
+    below the determinant tolerance. With a = sqrt(w) Ai and a' = sqrt(w) Ai' at the
     nodes, the symmetric matrix A = I - W^(1/2) K W^(1/2) is assembled
     directly:
 
@@ -93,8 +67,7 @@ def airy_kernel_fredholm(t: float, m: int = 120, span: float | None = None) -> f
         raise BadInterval("airy_kernel_fredholm: m >= 40 required")
     if t < -10.0:
         raise BadInterval("airy_kernel_fredholm: t >= -10 required")
-    if span is None:
-        span = max(14.0, 12.0 - t)
+    span = max(14.0, 12.0 - t)
     rule = gauss_legendre(m, t, t + span)
     s, w = rule.nodes, rule.weights
     ai, aip = airy_grid(s)

@@ -10,7 +10,6 @@ t -> -inf series on the left.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ __all__ = [
     "solve_hastings_mcleod",
     "eval_series",
     "series_term_magnitude",
-    "export_csv",
     "fast_eval",
 ]
 
@@ -38,6 +36,8 @@ SLOPE_WINDOW = 0.025
 NEWTON_FULL_STEP = 1e-6
 # Newton's start on a grid comes from a grid this many times coarser
 COARSE_FACTOR = 16
+# Newton iterations per grid before NewtonDivergence
+MAX_NEWTON_ITER = 50
 
 # t -> -inf series, coefficients exact as printed: each term is
 # coef * sqrt(2)^s2 * (-t)^expo.  For 'u' the ladder multiplies the leading
@@ -237,7 +237,6 @@ def solve_hastings_mcleod(
     t_max: float = 13.0,
     n: int = 52001,
     tol: float = 1e-11,
-    max_iter: int = 50,
 ) -> Painleve2Solution:
     """Solve the Hastings-McLeod boundary value problem on [t_min, t_max].
 
@@ -262,7 +261,7 @@ def solve_hastings_mcleod(
         raise BadInterval("need n >= 2000")
     t = np.linspace(t_min, t_max, n)
     h = t[1] - t[0]
-    u, it, last_update, coarse_it = _solve_on(t, tol, max_iter)
+    u, it, last_update, coarse_it = _solve_on(t, tol)
 
     ut = _denoise_slope(t, u, diff5(u, h), h)
     omega = u**4 + t * u**2 - ut**2
@@ -298,19 +297,19 @@ def solve_hastings_mcleod(
     )
 
 
-def _solve_on(t, tol, max_iter):
+def _solve_on(t, tol):
     """u on the grid t, Newton's iterations and final update there, and the
     iterations of the coarser stages that gave its start."""
     n_coarse = (len(t) - 1) // COARSE_FACTOR + 1
     if n_coarse < 2000:
-        return *_newton(t, _start(t), tol, max_iter), 0
+        return *_newton(t, _start(t), tol), 0
     tc = np.linspace(t[0], t[-1], n_coarse)
-    uc, it, _, below = _solve_on(tc, tol, max_iter)
+    uc, it, _, below = _solve_on(tc, tol)
     u = HermiteTable(tc, [uc], [diff5(uc, tc[1] - tc[0])])(t)[0]
-    return *_newton(t, u, tol, max_iter), it + below
+    return *_newton(t, u, tol), it + below
 
 
-def _newton(t, u, tol, max_iter):
+def _newton(t, u, tol):
     """Damped Newton on the Numerov equations from the iterate u, whose ends
     are set to the boundary data: u, the iterations and the final update."""
     c = (t[1] - t[0]) ** 2 / 12.0
@@ -322,7 +321,7 @@ def _newton(t, u, tol, max_iter):
         return uv[:-2] - 2 * uv[1:-1] + uv[2:] - c * (f[:-2] + 10 * f[1:-1] + f[2:])
 
     last_update = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_ITER + 1):
         R = residual(u)
         fp = t + 6 * u**2
         ab = np.zeros((3, len(t) - 2))
@@ -346,7 +345,7 @@ def _newton(t, u, tol, max_iter):
         u[1:-1] += lam * du
         if last_update < tol:
             return u, it, last_update
-    raise NewtonDivergence(f"no contraction after {max_iter} iterations "
+    raise NewtonDivergence(f"no contraction after {MAX_NEWTON_ITER} iterations "
                            f"(update {last_update:g})")
 
 
@@ -389,18 +388,3 @@ def fast_eval(solution: Painleve2Solution):
 
     return f
 
-
-def export_csv(solution: Painleve2Solution, path) -> None:
-    """Write the table as t,u,ut,omega with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["t", "u", "ut", "omega"])
-        for i in range(len(solution.grid)):
-            wr.writerow(
-                [
-                    f"{solution.grid[i]:.17g}",
-                    f"{solution.u[i]:.17g}",
-                    f"{solution.ut[i]:.17g}",
-                    f"{solution.omega[i]:.17g}",
-                ]
-            )

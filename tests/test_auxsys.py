@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from twlab import auxsys, painleve2, rk
+from twlab import auxsys, cli, painleve2, rk
 from twlab.errors import BadInterval, BlowUp, DegenerateQ2, PoleEncountered, StepFailure
 
 
@@ -404,17 +404,21 @@ def test_route_preconditions(hm):
 
 
 def test_exports(aux_lin, tmp_path):
+    # `twlab aux-solve` with the fixtures' solve settings writes aux_lin
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "hm": {"t_min": -13.0, "t_max": 13.0, "n": 52001, "tol": 1e-11},
+        "aux": {"t_start": 12.0, "t_end": -11.0},
+    }))
+    assert cli.main(["aux-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     csv_path = tmp_path / "aux.csv"
-    auxsys.export_csv(aux_lin, csv_path)
     head = open(csv_path).readline().strip()
     assert head == "t,mu_plus,mu_minus,nu,q2,alpha,log_kappa"
     # the alpha column is one array call; rows equal the scalar calls
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     for i in (0, 1234, 5000, len(rows) - 1):
         assert rows[i, 5] == aux_lin.alpha_at(rows[i, 0])
-    diag_path = tmp_path / "aux.json"
-    auxsys.export_diagnostics(aux_lin, diag_path)
-    payload = json.load(open(diag_path))
+    payload = json.load(open(tmp_path / "aux_diagnostics.json"))
     assert payload["route"] == "linear"
     assert (payload["steps"], payload["step_shrinks"]) == (aux_lin.steps, 1)
     assert payload["rhs_calls"] == aux_lin.rhs_calls

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -52,6 +53,17 @@ def test_unknown_key_rejected(tmp_path):
         cli.load_config(
             write_config(tmp_path, {"command": "hm-solve", "hm": {"bogus": 1}})
         )
+
+
+def test_format_key_rejected(tmp_path, capsys):
+    # artifacts have one format (write_csv, write_json); naming one is an
+    # unknown key
+    cfg = write_config(tmp_path, {"command": "hm-solve", "format": "csv"})
+    rc = cli.main(["hm-solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "'format'" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_malformed_json_reports_position(tmp_path):
@@ -209,11 +221,18 @@ def test_mc_edge_beta2_skips_hastings_mcleod(tmp_path, monkeypatch):
     grid = np.linspace(-9.0, 4.0, 261)
     ref = distribution.table_from_values(
         2, grid, np.array([oracles.airy_kernel_fredholm(x, 60) for x in grid]))
-    s.export_csv(tmp_path / "edge.csv")
-    s.export_summary(tmp_path / "summary.json", ks=oracles.ks_distance(s, ref.cdf))
-    assert (out / "edge_beta2.csv").read_bytes() == (tmp_path / "edge.csv").read_bytes()
-    assert ((out / "edge_beta2_summary.json").read_bytes()
-            == (tmp_path / "summary.json").read_bytes())
+    with open(out / "edge_beta2.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "lambda_max", "scaled_s"]
+    index, lambda_max, scaled = np.array(rows[1:], dtype=float).T
+    assert np.array_equal(index, np.arange(2000))
+    assert np.array_equal(lambda_max, s.lambda_max)
+    assert np.array_equal(scaled, s.samples)
+    assert json.load(open(out / "edge_beta2_summary.json")) == {
+        "n": 100, "beta": 2.0, "count": 2000, "seed": 1234,
+        "block_rows": s.block_rows, "laguerre_rounds": s.laguerre_rounds,
+        "ks": oracles.ks_distance(s, ref.cdf),
+    }
 
 
 def test_tails_compare_beta2(tmp_path):

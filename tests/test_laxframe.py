@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from twlab import auxsys, distribution, laxframe
+from twlab import auxsys, cli, distribution, laxframe
 from twlab.errors import BadInterval, DegenerateGauge
 
 
@@ -396,12 +396,14 @@ def test_field_sweeps_again_when_the_key_changes(hm, aux_lin, monkeypatch):
     assert np.array_equal(rev.psi11, base.psi11[::-1])
 
 
-def test_field_csv_export(hm, aux_lin, tmp_path):
-    fld = laxframe.psi11_field(
-        hm, aux_lin, np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 0.0])
-    )
-    path = tmp_path / "field.csv"
-    fld.export_csv(path)
-    lines = open(path).read().strip().split("\n")
+def test_field_csv_export(tmp_path):
+    # `twlab verify-pde` writes every 8th node of each axis, x-major; the
+    # gates are stated at step 1/64, so this coarse run may exit 1
+    cli.main(["verify-pde", "--grid-step", "0.25", "--out", str(tmp_path)])
+    lines = open(tmp_path / "field_coarse.csv").read().strip().split("\n")
     assert lines[0] == "x,t,re_psi11"
-    assert len(lines) == 1 + 3 * 2
+    x, t = cli.parse_grid("-3:3:0.25")[::8], cli.parse_grid("-5:1:0.25")[::8]
+    assert len(lines) == 1 + len(x) * len(t) == 1 + 4 * 4
+    rows = np.loadtxt(tmp_path / "field_coarse.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], np.repeat(x, len(t)))
+    assert np.array_equal(rows[:, 1], np.tile(t, len(x)))

@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import airy
 
-from twlab import oracles
+from twlab import cli, oracles
 from twlab.errors import BadInterval, EigenFailure, NonConvergence
 
 
@@ -294,14 +294,13 @@ def test_beta2_ks_shrinks_with_n(fredholm_table):
 
 
 def test_exports(tmp_path):
+    # `twlab mc-edge` writes the samples and their summary
+    cli.main(["mc-edge", "--beta", "2", "--n", "60", "--count", "50", "--seed", "3",
+              "--m", "60", "--out", str(tmp_path)])
     s = oracles.sample_edge(60, 2.0, 50, 3)
-    csv_path = tmp_path / "samples.csv"
-    s.export_csv(csv_path)
-    lines = open(csv_path).read().strip().split("\n")
+    lines = open(tmp_path / "edge_beta2.csv").read().strip().split("\n")
     assert lines[0] == "index,lambda_max,scaled_s"
     assert len(lines) == 51
-    js = tmp_path / "summary.json"
-    s.export_summary(js, ks=0.01)
-    summary = json.load(open(js))
-    assert summary["ks"] == 0.01
+    summary = json.load(open(tmp_path / "edge_beta2_summary.json"))
+    assert summary["ks"] == json.load(open(tmp_path / "manifest.json"))["results"]["ks"]
     assert summary["block_rows"] == 60 and summary["laguerre_rounds"] == s.laguerre_rounds

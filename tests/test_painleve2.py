@@ -1,10 +1,11 @@
 import csv
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from twlab import distribution, oracles, painleve2, specfun
+from twlab import cli, distribution, oracles, painleve2, specfun
 from twlab.errors import BadInterval, OrderTooHigh, OutOfRange, UnknownSeries
 
 
@@ -135,7 +136,7 @@ def test_coarse_start_matches_fine_only_newton(hm):
     # 3251 points; Newton on the fine grid alone, from _start, reaches the
     # same u
     t = np.array(hm.grid)
-    u, it, final_update = painleve2._newton(t, painleve2._start(t), 1e-11, 50)
+    u, it, final_update = painleve2._newton(t, painleve2._start(t), 1e-11)
     assert np.max(np.abs(u - hm.u)) <= 1e-14
     assert final_update < 1e-11 and it > 2
     assert hm.coarse_newton_iterations >= 1
@@ -150,7 +151,7 @@ def test_coarse_stage_needs_2000_points(n, coarse):
     assert sol.final_update < 1e-11
     if not coarse:
         t = np.array(sol.grid)
-        u, it, _ = painleve2._newton(t, painleve2._start(t), 1e-11, 50)
+        u, it, _ = painleve2._newton(t, painleve2._start(t), 1e-11)
         assert np.array_equal(u, sol.u) and it == sol.newton_iterations
 
 
@@ -246,9 +247,12 @@ def test_fast_eval_matches_eval(hm):
 
 
 def test_csv_export(hm, tmp_path):
-    path = tmp_path / "hm.csv"
-    painleve2.export_csv(hm, path)
-    with open(path) as fh:
+    # `twlab hm-solve` with the fixture's solve settings writes its table
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"hm": {"t_min": -13.0, "t_max": 13.0, "n": 52001, "tol": 1e-11}}))
+    assert cli.main(["hm-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "hm.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "u", "ut", "omega"]
     assert len(rows) == len(hm.grid) + 1

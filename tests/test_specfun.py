@@ -108,6 +108,26 @@ def test_no_solve_ivp_in_src():
             assert "solve_ivp" not in names, f"{path.name} uses solve_ivp"
 
 
+def test_only_cli_writes_files():
+    # one artifact writer: no module of the package but cli imports csv or
+    # json or calls open
+    src = pathlib.Path(specfun.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module.split(".")[0]]
+            else:
+                modules = []
+            assert not {"csv", "json"} & set(modules), f"{path.name} imports {modules}"
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                assert name != "open", f"{path.name} calls open"
+
+
 def test_airy_grid_matches_scalar():
     ts = np.concatenate([[-9.5, -5.0, 0.0, 3.0, 7.0], np.linspace(-30.0, 30.0, 601)])
     ai, aip = specfun.airy_grid(ts)
