@@ -14,7 +14,6 @@ from .asymptotics import TailModel, eval_c0, eval_tail_logF, extract_constant
 from .auxsys import (
     AuxSolution,
     LaxParams,
-    compute_log_kappa,
     eval_r_and_integrals,
     integrate_linear,
     integrate_nonlinear,
@@ -40,7 +39,6 @@ __all__ = [
     "airy",
     "airy_kernel_fredholm",
     "edge_pde_residual",
-    "compute_log_kappa",
     "eval_F2",
     "eval_F6",
     "eval_c0",

@@ -34,7 +34,6 @@ __all__ = [
     "RIntegrals",
     "integrate_linear",
     "integrate_nonlinear",
-    "compute_log_kappa",
     "reconstruct_params",
     "params_from_state",
     "eval_r_and_integrals",
@@ -75,9 +74,13 @@ class AuxSolution:
     steps: int = 0
     step_shrinks: int = 0
     diagnostics: list = field(default_factory=list)
-    tail_int_omega: float = 0.0
     b_constraint_scale: float = 2.0 / 3.0
     log_f6: HermiteTable | None = None
+
+    @property
+    def tail_int_omega(self) -> float:
+        """int_{t_start}^inf omega, which is log F2(t_start)."""
+        return self.hm.log_f2(self.t_start)[0]
 
     # --- channel accessors (dense, cubic Hermite) ---
     def delta_at(self, t):
@@ -240,7 +243,6 @@ def integrate_linear(
         raise PoleEncountered(
             f"integration stopped near t={exc.t:.6f} (q2 pole)", t=exc.t
         ) from exc
-    tail = hm.int_omega_to_inf(t_start)
     aux = AuxSolution(
         route="linear",
         t_start=float(t_start),
@@ -250,8 +252,7 @@ def integrate_linear(
         rhs_calls=sol.rhs_calls,
         steps=sol.steps,
         step_shrinks=sol.step_shrinks,
-        tail_int_omega=tail,
-        log_f6=_log_f6_table(sol, tail),
+        log_f6=_log_f6_table(sol, hm.log_f2(t_start)[0]),
     )
     aux.diagnostics = _q2_zero_events(aux)
     return aux
@@ -309,7 +310,6 @@ def integrate_nonlinear(
         table=HermiteTable(sol.t, sol.y, sol.yp),
         rhs_calls=sol.rhs_calls,
         steps=sol.steps,
-        tail_int_omega=hm.int_omega_to_inf(t_start),
         b_constraint_scale=lam,
     )
     aux.diagnostics = _q2_zero_events(aux)
@@ -338,39 +338,6 @@ def _nonlinear_rhs(f, lam):
         return [ddot, aldot, lkdot]
 
     return rhs
-
-
-def compute_log_kappa(aux: AuxSolution, hm: painleve2.Painleve2Solution) -> AuxSolution:
-    """Re-derive log kappa from the stored (q2, alpha) trajectory.
-
-    log kappa(t) = -0.5 log u(t_start) + int_{t_start}^t
-    (-omega/3 - 2 alpha/3 - (u'/u)(1 - 2 q2)/6) ds, so kappa sqrt(u) -> 1
-    at t_start. Returns the same AuxSolution (the channel is already
-    normalized this way during integration; this recomputes it from the
-    dense trajectory as an independent consistency pass).
-    """
-    f = painleve2.fast_eval(hm)
-
-    def rhs(t, y):
-        u, ut, om = f(t)
-        lu = ut / u
-        q2 = aux.q2_at(t)
-        al = aux.alpha_at(t)
-        return [-om / 3.0 - 2.0 * al / 3.0 - lu * (1.0 - 2.0 * q2) / 6.0]
-
-    u_start = f(aux.t_start)[0]
-    sol = solve_rk(
-        rhs,
-        aux.t_start,
-        aux.t_end,
-        [-0.5 * np.log(u_start)],
-        rtol=1e-13,
-        atol=1e-18,
-        h_out=0.004,
-    )
-    drift = float(np.max(np.abs(aux.log_kappa_at(sol.t) - sol.y[0])))
-    aux.diagnostics.append((aux.t_start, f"log-kappa-recompute-drift:{drift:.3e}"))
-    return aux
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +409,6 @@ def _dd_div(x, y):
     return q, (r[0] + r[1]) / y[0]
 
 
-def _pow(x, n):
-    """x**n by the C library's pow, as a float computes it, also elementwise
-    for an array: numpy's array power rounds differently."""
-    if isinstance(x, np.ndarray):
-        return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
-    return x**n
-
-
 def params_from_state(
     t: float,
     u: float,
@@ -470,24 +429,19 @@ def params_from_state(
     it directly, which keeps the 0/0 limits of the e-parameters accurate.
     Derivative-bearing entries (a, d, b, c, U) use the supplied derivatives
     when given, else the constraint closed forms.
-
-    The inputs may be floats or arrays of one shape; arrays give a
-    LaxParams of arrays, by the same elementwise operations, so that each
-    element equals the float call bitwise.
     """
     if delta_q2 is None:
         if q2 is None:
             raise BadInterval("params_from_state: give q2 or delta_q2")
         delta_q2 = 1.0 + q2
-    dq = delta_q2 if isinstance(delta_q2, np.ndarray) else float(delta_q2)
+    dq = float(delta_q2)
     q2 = dq - 1.0
     one_m = dq * (2.0 - dq)          # 1 - q2^2
-    degenerate = abs(one_m) < 1e-280
-    if degenerate.any() if isinstance(dq, np.ndarray) else degenerate:
+    if abs(one_m) < 1e-280:
         raise DegenerateQ2(f"1 - q2^2 vanishes at q2={q2}")
     lu = ut / u
-    alpha2 = _pow(alpha, 2)
-    omega = _pow(u, 4) + t * _pow(u, 2) - _pow(ut, 2)
+    alpha2 = alpha**2
+    omega = u**4 + t * u**2 - ut**2
     delta = -t / 2.0 - u * u
     # q1 and e1 as (hi, lo) pairs: r1 and r2 are sensitive to their
     # rounding (see eval_r_and_integrals); hi is the float64 value
@@ -545,9 +499,8 @@ def reconstruct_params(
 
 def _params_at(aux, hm, ts, mode, h):
     """reconstruct_params at each t of the array ts, from one aux.table and
-    one hm lookup of all the stencil points: a list of LaxParams. The
-    parameters are built by float calls, which at up to five points cost
-    less than one array call of params_from_state."""
+    one hm lookup of all the stencil points: a list of LaxParams, one
+    float call of params_from_state each."""
     if mode == "fd":
         points = ts[:, None] + h * np.arange(-2.0, 3.0)     # column 2 is ts
     elif mode == "ode":

@@ -145,7 +145,8 @@ def write_json(path, payload) -> None:
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """'a:b:step' -> uniform inclusive grid."""
+    """'a:b:step' -> uniform grid from a to b, both included. The step must
+    divide b - a to within 1e-9 of b - a."""
     try:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
@@ -153,6 +154,8 @@ def parse_grid(spec: str) -> np.ndarray:
     if step <= 0 or b <= a:
         raise ParseError(f"bad grid spec {spec!r}: need a < b, step > 0")
     count = int(round((b - a) / step))
+    if abs(count * step - (b - a)) > 1e-9 * (b - a):
+        raise ParseError(f"bad grid spec {spec!r}: step does not divide b - a")
     return a + step * np.arange(count + 1)
 
 
@@ -275,8 +278,8 @@ def _cmd_aux_solve(cfg, man):
 
 
 def _cmd_tw_table(cfg, man):
-    hm = _solve_hm(cfg)
     grid = parse_grid(cfg.t_grid)
+    hm = _solve_hm(cfg)
     work = {"newton_iterations": hm.newton_iterations,
             "coarse_newton_iterations": hm.coarse_newton_iterations}
     if cfg.beta == 2:
@@ -355,10 +358,10 @@ def _cmd_verify_identities(cfg, man):
 
 
 def _cmd_verify_pde(cfg, man):
-    hm, aux = _verification_inputs()
     step = cfg.grid_step
     xg = parse_grid(f"-3:3:{step}")
     tg = parse_grid(f"-5:1:{step}")
+    hm, aux = _verification_inputs()
     fld = laxframe.psi11_field(hm, aux, xg, tg)
     r1 = laxframe.edge_pde_residual(fld, stride=1)
     r2 = laxframe.edge_pde_residual(fld, stride=2)

@@ -46,20 +46,33 @@ def _is_scalar(t) -> bool:
     return isinstance(t, float) or np.ndim(t) == 0
 
 
-def log_F2(hm: painleve2.Painleve2Solution, t):
-    """log F2(t) = int_t^inf omega(s) ds, for a scalar or an array t; 0 from
-    the right end of the grid on, where the Airy decay of u bounds the tail.
-    A scalar gives a float, computed on floats; NaN raises OutOfRange."""
+def _read_log_cdf(row, t, t_lo, t_hi, where):
+    """A log CDF from its one-row table `row` at t (a scalar or an array):
+    OutOfRange below t_lo, 0 from t_hi on, where the right tail is below
+    roundoff, and capped at 0, as roundoff there would otherwise give
+    F = 1 + ulp. A scalar t gives a float, computed on floats and equal to
+    the array path bit for bit; NaN passes both tests and raises
+    OutOfRange in the lookup. `where` names the range in the message."""
     if _is_scalar(t):
         t = float(t)
-        if t < hm.t_min:
-            raise OutOfRange(f"t below solved range {hm.t_min}")
-        # NaN passes both tests and raises in the lookup
-        return 0.0 if t >= hm.t_max else hm.int_omega_to_inf(t)
+        if t < t_lo:
+            raise OutOfRange(f"t={t:.3f} below {where} [{t_lo}, {t_hi}]")
+        if t >= t_hi:
+            return 0.0
+        log_f = row(t)[0]
+        return 0.0 if log_f >= 0.0 else log_f
     t = np.asarray(t, dtype=np.float64)
-    if (t < hm.t_min).any():
-        raise OutOfRange(f"t below solved range {hm.t_min}")
-    return np.where(t >= hm.t_max, 0.0, hm.int_omega_to_inf(np.minimum(t, hm.t_max)))
+    if (t < t_lo).any():
+        raise OutOfRange(f"t={np.min(t):.3f} below {where} [{t_lo}, {t_hi}]")
+    # the float cap is np.minimum's (NaN stays NaN, -0.0 gives 0.0)
+    return np.where(t >= t_hi, 0.0, np.minimum(row(np.minimum(t, t_hi))[0], 0.0))
+
+
+def log_F2(hm: painleve2.Painleve2Solution, t):
+    """log F2(t) = int_t^inf omega(s) ds, for a scalar or an array t, read
+    from the one-row table hm.log_f2; 0 from the right end of the grid on,
+    where the Airy decay of u bounds the tail."""
+    return _read_log_cdf(hm.log_f2, t, hm.t_min, hm.t_max, "the Hastings-McLeod range")
 
 
 def eval_F2(hm: painleve2.Painleve2Solution, t: float) -> float:
@@ -75,30 +88,14 @@ def log_F6(hm: painleve2.Painleve2Solution, aux: auxsys.AuxSolution, t):
     beyond t_start: I_omega's is computed from the Airy decay, the other two
     are bounded by u(t_start)^2-scale and dropped. The sum is tabulated once
     per solve, as the one-row table aux.log_f6 (values and exact slopes at
-    the aux nodes, see AuxSolution), so a query is one Hermite lookup.
-
-    A scalar t gives a float, computed on floats and equal to the array
-    path bit for bit. NaN raises OutOfRange.
+    the aux nodes, see AuxSolution), so a query is one Hermite lookup, read
+    as log_F2 reads hm.log_f2 at the internal t; 0 from t_start on, where
+    1 - F6 is below the u(t_start)^2 scale (~1e-13).
     """
     if aux.log_f6 is None:
         raise BadInterval("log_F6 needs the linear-route AuxSolution")
-    scalar = _is_scalar(t)
-    ti = SCALE_T * (float(t) if scalar else np.asarray(t, dtype=np.float64))
-    if (ti < aux.t_end) if scalar else (ti < aux.t_end).any():
-        raise OutOfRange(
-            f"internal t={np.min(ti):.3f} outside aux range "
-            f"[{aux.t_end}, {aux.t_start}]"
-        )
-    # right of t_start 1 - F6 is below the u(t_start)^2 scale (~1e-13)
-    if scalar and ti > aux.t_start:
-        return 0.0
-    # one row, one lookup (which NaN reaches, and raises in)
-    log_f = aux.log_f6(ti if scalar else np.minimum(ti, aux.t_start))[0]
-    # roundoff in the saturated tail would otherwise give F6 = 1 + ulp; the
-    # float cap is np.minimum's (NaN stays NaN, -0.0 gives 0.0)
-    if scalar:
-        return 0.0 if log_f >= 0.0 else log_f
-    return np.where(ti > aux.t_start, 0.0, np.minimum(log_f, 0.0))
+    ti = SCALE_T * (float(t) if _is_scalar(t) else np.asarray(t, dtype=np.float64))
+    return _read_log_cdf(aux.log_f6, ti, aux.t_end, aux.t_start, "the internal aux range")
 
 
 def eval_F6(

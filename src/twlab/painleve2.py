@@ -10,7 +10,7 @@ t -> -inf series on the left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import BadInterval, NewtonDivergence, OrderTooHigh, OutOfRange, Unk
 from .rk import HermiteTable, diff5
 
 __all__ = [
-    "AsymptoticSeries",
     "Painleve2Solution",
     "solve_hastings_mcleod",
     "eval_series",
@@ -88,54 +87,33 @@ _SERIES: dict[str, list[tuple[Fraction, int, Fraction]]] = {
 _LOGF6_LOG_COEF = _F(1, 24)
 
 
-@dataclass(frozen=True)
-class AsymptoticSeries:
-    """Truncated t -> -inf expansion with exact rational x sqrt(2)-power terms."""
-
-    variable: str
-    terms: tuple  # ((Fraction coef, int sqrt2_power, Fraction exponent), ...)
-    log_coef: Fraction = _F(0)
-    side: str = "-inf"
-
-    def __call__(self, t: float) -> float:
-        x = -float(t)
-        if x <= 0:
-            raise OutOfRange(f"{self.variable} series: needs t < 0, got {t}")
-        total = sum(
-            float(c) * SQRT2**s2 * x ** float(e) for c, s2, e in self.terms
-        )
-        if self.log_coef:
-            total += float(self.log_coef) * np.log(x)
-        return total
-
-
-def series(kind: str, order: int) -> AsymptoticSeries:
-    """Series object for `kind` truncated after `order` correction terms."""
+def _ladder(kind: str):
     if kind not in _SERIES:
         raise UnknownSeries(f"unknown series kind {kind!r}")
-    ladder = _SERIES[kind]
+    return _SERIES[kind]
+
+
+def eval_series(kind: str, t: float, order: int) -> float:
+    """Truncated t -> -inf series value; order counts correction terms past
+    the leading one."""
+    ladder = _ladder(kind)
     if order < 0 or order + 1 > len(ladder):
         raise OrderTooHigh(
             f"{kind}: order {order} exceeds tabulated coefficients "
             f"(max {len(ladder) - 1})"
         )
-    return AsymptoticSeries(
-        variable=kind,
-        terms=tuple(ladder[: order + 1]),
-        log_coef=_LOGF6_LOG_COEF if kind == "logF6" else _F(0),
-    )
-
-
-def eval_series(kind: str, t: float, order: int) -> float:
-    """Truncated series value; order counts correction terms past the leading one."""
-    return series(kind, order)(t)
+    x = -float(t)
+    if x <= 0:
+        raise OutOfRange(f"{kind} series: needs t < 0, got {t}")
+    total = sum(float(c) * SQRT2**s2 * x ** float(e) for c, s2, e in ladder[:order + 1])
+    if kind == "logF6":
+        total += float(_LOGF6_LOG_COEF) * np.log(x)
+    return total
 
 
 def series_term_magnitude(kind: str, t: float, index: int) -> float:
     """|term index| of the series at t, for remainder bounds in tests."""
-    if kind not in _SERIES:
-        raise UnknownSeries(f"unknown series kind {kind!r}")
-    ladder = _SERIES[kind]
+    ladder = _ladder(kind)
     if index >= len(ladder):
         raise OrderTooHigh(f"{kind}: no tabulated term {index}")
     c, s2, e = ladder[index]
@@ -146,21 +124,24 @@ def series_term_magnitude(kind: str, t: float, index: int) -> float:
 class Painleve2Solution:
     """Dense Hastings-McLeod table with cubic Hermite interpolation.
 
-    The table's rows are (u, u', omega_smooth, omega) with slopes
-    (u', t u + 2 u^3, u^2, u^2); grid, u, ut and omega are views of it.
-    omega stores the combination u^4 + t u^2 - ut^2 exactly as built from
-    the table; omega_smooth is the same function obtained by integrating
-    u^2 from the right end, which keeps full relative accuracy where the
-    algebraic form suffers exponential cancellation (t >> 1). The two agree
-    to ~4e-11 relative wherever omega is not exponentially small.
+    The table's rows are (u, u', omega) with slopes (u', t u + 2 u^3, u^2);
+    grid, u and ut are views of it. omega = u^4 + t u^2 - u'^2 is stored
+    as minus the integral of u^2 from the right end, which keeps full
+    relative accuracy where the algebraic form suffers exponential
+    cancellation (t >> 1); the property omega forms the algebraic one at
+    the nodes. The two agree to ~4e-11 relative wherever omega is not
+    exponentially small.
+
+    log_f2 is the beta = 2 log CDF, log F2(t) = int_t^inf omega, as a
+    one-row table on the same nodes with slope exactly -omega, as
+    AuxSolution.log_f6 is for beta = 6.
     """
 
     table: HermiteTable
+    log_f2: HermiteTable
     newton_iterations: int          # on the table's own grid
     final_update: float
     coarse_newton_iterations: int   # on the coarser grids that gave its start
-    _int_om_right: np.ndarray = field(repr=False, default=None)   # int_t^tmax omega
-    _tail_int_om: float = 0.0      # int_tmax^inf omega
 
     @property
     def grid(self) -> np.ndarray:
@@ -176,7 +157,9 @@ class Painleve2Solution:
 
     @property
     def omega(self) -> np.ndarray:
-        return self.table.nodes[:, 0, 3]
+        """u^4 + t u^2 - u'^2 at the nodes, the algebraic form."""
+        u = self.u
+        return u**4 + self.grid * u**2 - self.ut**2
 
     @property
     def t_min(self) -> float:
@@ -192,44 +175,12 @@ class Painleve2Solution:
 
     def eval(self, t):
         """(u, ut, omega) by cubic Hermite interpolation."""
-        u, ut, _, om = self.table(t)
+        u, ut, om = self.table(t)
         return u, ut, om
 
     def omega_smooth(self, t):
-        """omega from the integral form (full relative accuracy at large t)."""
+        """omega alone by cubic Hermite interpolation (eval's third value)."""
         return self.table(t)[2]
-
-    def int_omega_to_inf(self, t):
-        """int_t^inf omega ds (equals log F2(t)), for a scalar or an array t.
-
-        The part up to the next node is the exact integral of the
-        omega_smooth interpolant, with the Hermite basis antiderivatives
-        taken from s to 1.
-        """
-        i, s = self.table.locate(t)
-        h = self.step
-        om = self.table.nodes[:, :, 2]       # omega_smooth and its slope u^2
-        right = self._int_om_right
-        if isinstance(i, int):
-            # floats, from one read of the cell
-            (y0, d0), (y1, d1) = om[i:i + 2].tolist()
-            right = right.item(i + 1)
-        else:
-            (y0, d0), (y1, d1) = om[i].T, om[i + 1].T
-            right = right[i + 1]
-        d0, d1 = d0 * h, d1 * h
-
-        def anti(x):
-            x3 = x * x * x
-            x4 = x3 * x
-            H00 = x - x3 + x4 / 2
-            H10 = x * x / 2 - 2 * x3 / 3 + x4 / 4
-            H01 = x3 - x4 / 2
-            H11 = x4 / 4 - x3 / 3
-            return H00 * y0 + H10 * d0 + H01 * y1 + H11 * d1
-
-        piece = h * (anti(1.0) - anti(s))
-        return piece + right + self._tail_int_om
 
 
 def solve_hastings_mcleod(
@@ -264,37 +215,33 @@ def solve_hastings_mcleod(
     u, it, last_update, coarse_it = _solve_on(t, tol)
 
     ut = _denoise_slope(t, u, diff5(u, h), h)
-    omega = u**4 + t * u**2 - ut**2
 
-    # cumulative integrals from the right (corrected trapezoid, O(h^4))
+    # omega' = u^2 and log F2' = -omega, integrated from the right end with
+    # the Airy tails beyond it
     f2 = u**2
-    d2 = 2 * u * ut
-    seg = h * (f2[:-1] + f2[1:]) / 2 + h * h * (d2[:-1] - d2[1:]) / 12
-    int_u2_right = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     av = specfun.airy(t_max)
     tail_u2 = av.ai_prime**2 - t_max * av.ai**2
-    omega_smooth = -(int_u2_right + tail_u2)
-    seg_om = h * (omega_smooth[:-1] + omega_smooth[1:]) / 2 + h * h * (
-        f2[:-1] - f2[1:]
-    ) / 12
-    int_om_right = np.concatenate([np.cumsum(seg_om[::-1])[::-1], [0.0]])
+    omega = -(_integral_to_end(f2, 2 * u * ut, h) + tail_u2)
     # Airy product integral (DLMF 9.11(iv)): int_x^inf (s - x) Ai(s)^2 ds
     # = (2/3)(x^2 Ai^2 - x Ai'^2) - Ai Ai'/3 at x = t_max
     tail_om = -(
         2.0 / 3.0 * (t_max**2 * av.ai**2 - t_max * av.ai_prime**2)
         - av.ai * av.ai_prime / 3.0
     )
-
     return Painleve2Solution(
-        table=HermiteTable(
-            t, [u, ut, omega_smooth, omega], [ut, t * u + 2 * u**3, f2, f2]
-        ),
+        table=HermiteTable(t, [u, ut, omega], [ut, t * u + 2 * u**3, f2]),
+        log_f2=HermiteTable(t, [_integral_to_end(omega, f2, h) + tail_om], [-omega]),
         newton_iterations=it,
         final_update=last_update,
         coarse_newton_iterations=coarse_it,
-        _int_om_right=int_om_right,
-        _tail_int_om=float(tail_om),
     )
+
+
+def _integral_to_end(f, fp, h):
+    """int_t^t_end f at every node t, from node values f and slopes fp by
+    the corrected trapezoid rule (O(h^4)), summed from the right end."""
+    seg = h * (f[:-1] + f[1:]) / 2 + h * h * (fp[:-1] - fp[1:]) / 12
+    return np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
 
 
 def _solve_on(t, tol):
@@ -366,12 +313,9 @@ def _denoise_slope(t, u, ut, h):
     adding back a centered moving average of the difference (half-width
     SLOPE_WINDOW, narrowing at the ends) keeps the smooth part only.
     """
-    f = t * u + 2 * u**3
-    fp = u + (t + 6 * u**2) * ut
-    seg = h * (f[:-1] + f[1:]) / 2 + h * h * (fp[:-1] - fp[1:]) / 12
     # summed from the right, so that it keeps relative accuracy where u and
     # u' decay like Ai
-    antider = ut[-1] - np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    antider = ut[-1] - _integral_to_end(t * u + 2 * u**3, u + (t + 6 * u**2) * ut, h)
     cum = np.concatenate([[0.0], np.cumsum(ut - antider)])
     k = np.arange(len(t))
     half = np.minimum(max(1, round(SLOPE_WINDOW / h)), np.minimum(k, len(t) - 1 - k))
@@ -379,12 +323,7 @@ def _denoise_slope(t, u, ut, h):
 
 
 def fast_eval(solution: Painleve2Solution):
-    """Evaluator closure for ODE right-hand sides: f(t) -> (u, ut,
-    omega_smooth), floats for a scalar t, arrays for an array of t."""
-    table = solution.table
-
-    def f(t):
-        return table(t)[:3]
-
-    return f
+    """Evaluator for ODE right-hand sides: f(t) -> (u, ut, omega), floats
+    for a scalar t, arrays for an array of t. It is the solution's table."""
+    return solution.table
 

@@ -10,8 +10,7 @@ at uniformly spaced output nodes. Both ways share the error norm
 solve_rk steps a general y' = f(t, y) adaptively, with scipy's step
 control: one RHS call per stage inside the step loop, then the three
 dense-output stages of all accepted steps in one array call. It serves
-the systems that are not linear: the nonlinear auxiliary route and the
-log kappa recomputation.
+the system that is not linear: the nonlinear auxiliary route.
 
 solve_linear takes y' = M(t) y with quadratures q' = g(t, y) that do not
 feed back. There one DOP853 step is a d x d matrix and every stage state
@@ -23,9 +22,9 @@ with a smaller step. It serves the linear auxiliary route, ~7x faster
 than stepping it stage by stage.
 
 HermiteTable is the one cubic Hermite interpolant every table uses (the
-Hastings-McLeod table, the auxiliary trajectory and its log F6 row, the
-CDF table): node values and slopes on a uniform grid, error ~h^4. diff5
-is the one 5-point first-derivative stencil.
+Hastings-McLeod table and its log F2 row, the auxiliary trajectory and
+its log F6 row, the CDF table): node values and slopes on a uniform
+grid, error ~h^4. diff5 is the one 5-point first-derivative stencil.
 """
 
 from __future__ import annotations
@@ -137,36 +136,27 @@ class HermiteTable:
         """Node values, shape (rows, n): a view of `nodes`."""
         return self.nodes[:, 0].T
 
-    def locate(self, tq):
-        """Cell index i and local coordinate s of tq: an int and a float for
-        a scalar tq, two arrays for an array.
-
-        s is exactly 1 at the upper node of a cell, so that node values
-        come back exactly.
-        """
+    def __call__(self, tq):
+        # s is exactly 1 at the upper node of a cell, so that node values
+        # come back exactly
         if isinstance(tq, float) or np.ndim(tq) == 0:
+            # the same operations on floats, far cheaper than on short arrays
             tq = float(tq)
             if not self._lo <= tq <= self._hi:       # NaN fails it too
                 raise OutOfRange(f"t={tq} outside table [{self.t_lo}, {self.t_hi}]")
             i = min(int((tq - self.t_lo) / self.h), self._imax)
             ta, tb = self.t[i:i + 2].tolist()
-            return i, (1.0 if tq == tb else (tq - ta) / self.h)
+            b00, b10, b01, b11 = _basis(1.0 if tq == tb else (tq - ta) / self.h, self.h)
+            (y0, p0), (y1, p1) = self.nodes[i:i + 2].tolist()
+            return [b00 * a + b10 * b + b01 * c + b11 * d
+                    for a, b, c, d in zip(y0, p0, y1, p1)]
         tq = np.asarray(tq, dtype=np.float64)
         if not ((tq >= self._lo) & (tq <= self._hi)).all():
             raise OutOfRange(f"t outside table [{self.t_lo}, {self.t_hi}]")
         # in range, the index is >= 0 already (truncation toward zero)
         i = np.minimum(((tq - self.t_lo) / self.h).astype(int), self._imax)
-        s = np.where(tq == self.t[i + 1], 1.0, (tq - self.t[i]) / self.h)
-        return i, s
-
-    def __call__(self, tq):
-        i, s = self.locate(tq)
-        b00, b10, b01, b11 = _basis(s, self.h)
-        if isinstance(i, int):
-            # the same operations on floats, far cheaper than on short arrays
-            (y0, p0), (y1, p1) = self.nodes[i:i + 2].tolist()
-            return [b00 * a + b10 * b + b01 * c + b11 * d
-                    for a, b, c, d in zip(y0, p0, y1, p1)]
+        b00, b10, b01, b11 = _basis(
+            np.where(tq == self.t[i + 1], 1.0, (tq - self.t[i]) / self.h), self.h)
         y0, p0 = self.nodes[i].transpose(1, 2, 0)
         y1, p1 = self.nodes[i + 1].transpose(1, 2, 0)
         return b00 * y0 + b10 * p0 + b01 * y1 + b11 * p1

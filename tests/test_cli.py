@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -83,6 +84,42 @@ def test_grid_and_window_parsing():
         cli.parse_grid("4:-4:0.1")
     with pytest.raises(ParseError):
         cli.parse_window("-6")
+
+
+def test_grid_step_must_divide_the_span(tmp_path):
+    # an inclusive grid cannot end at b when the step does not divide
+    # b - a: these two would end at 4.1 and at 0.8
+    for spec in ("-4:4:0.3", "0:1:0.4"):
+        with pytest.raises(ParseError, match="does not divide"):
+            cli.parse_grid(spec)
+    assert cli.main(["tw-table", "--t=-4:4:0.3", "--out", str(tmp_path)]) == 2
+
+
+# every grid spec of the README, the tests and perfbench, and verify-pde's
+# x and t grids at the steps in use, with a digest of the array each gave
+# before steps had to divide the span
+_GRID_DIGESTS = {
+    "-4:4:0.1": "dcb9b4c047765b1f",
+    "-4:2:0.05": "d08aef553efa8876",
+    "-6:4:0.25": "04a94c59d5534fca",
+    "-4.5:3.5:0.02": "9b0631f9e87c49fc",
+    "-3:1:0.5": "c416b2d6b149c626",
+    "-2:2:1": "e6b8b965cc8e918e",
+    "-4:4:0.5": "86fe87f510ca51b4",
+    "-3:2:0.5": "f3d06c300c5d14c2",
+    "-3:3:0.25": "2868c20ae4a229f8",
+    "-5:1:0.25": "e7675c18bb269d4e",
+    "-3:3:0.0625": "d09df019daeb6395",
+    "-5:1:0.0625": "de377072c516074c",
+    "-3:3:0.015625": "0dfc27bc4b95856f",
+    "-5:1:0.015625": "8910c076d52fead8",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GRID_DIGESTS))
+def test_grid_specs_in_use_parse_bit_for_bit(spec):
+    digest = hashlib.sha256(cli.parse_grid(spec).tobytes()).hexdigest()[:16]
+    assert digest == _GRID_DIGESTS[spec]
 
 
 def test_main_exit_code_on_config_error(tmp_path, capsys):

@@ -73,16 +73,19 @@ def test_omega_stored_combination(hm):
 
 
 def test_omega_smooth_agreement(hm):
-    ts = np.linspace(-12.0, 4.0, 100)
-    _, _, om = hm.eval(ts)
-    oms = hm.omega_smooth(ts)
-    assert np.max(np.abs((om - oms) / oms)) < 1e-9
+    # the stored omega (the integral of u^2) against the algebraic form at
+    # the nodes up to t = 8; further right the algebraic form loses digits
+    # to cancellation (1.5e-8 relative at t = 13)
+    left = hm.grid <= 8.0
+    oms = hm.omega_smooth(hm.grid[left])
+    assert np.max(np.abs((hm.omega[left] - oms) / oms)) < 1e-9
 
 
 def test_eval_at_nodes_exact(hm):
     for i in (0, 123, 25000, len(hm.grid) - 1):
         u, ut, om = hm.eval(hm.grid[i])
-        assert u == hm.u[i] and ut == hm.ut[i] and om == hm.omega[i]
+        assert u == hm.u[i] and ut == hm.ut[i] and om == hm.table.y[2, i]
+        assert hm.log_f2(hm.grid[i]) == [hm.log_f2.y[0, i]]
 
 
 def test_monotone_left_region(hm):
@@ -166,7 +169,8 @@ def test_omega_tail_at_t_max():
     # int_6^inf omega = -int_6^inf (s - 6) Ai(s)^2 ds, frozen from 40-digit mpmath
     sol = painleve2.solve_hastings_mcleod(t_min=-10.0, t_max=6.0, n=4001)
     exact = -3.8172326590094596424e-12
-    assert abs(sol.int_omega_to_inf(6.0) - exact) <= 1e-12 * abs(exact)
+    # the log F2 row at its right end holds the tail alone
+    assert abs(sol.log_f2(6.0)[0] - exact) <= 1e-12 * abs(exact)
 
 
 def test_preconditions():
@@ -227,10 +231,10 @@ def test_series_errors():
 
 
 def test_series_exact_coefficient_table():
-    terms = painleve2.series("u", 6).terms
+    terms = painleve2._SERIES["u"]
     assert terms[1][0] == Fraction(-1, 8)
     assert terms[6][0] == Fraction(-14518451390349, 4194304)
-    terms = painleve2.series("omega", 7).terms
+    terms = painleve2._SERIES["omega"]
     assert terms[7][0] == Fraction(-241980297111, 8192)
 
 

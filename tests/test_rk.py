@@ -255,11 +255,12 @@ def test_solve_linear_guard_runs_before_step_control():
 def _tables(hm, aux):
     grid = -4.5 + 0.02 * np.arange(401)
     cdf = distribution.tabulate(hm, aux, 6, grid)._table
-    return {"hm": hm.table, "aux": aux.table, "log_f6": aux.log_f6, "cdf": cdf}
+    return {"hm": hm.table, "log_f2": hm.log_f2, "aux": aux.table,
+            "log_f6": aux.log_f6, "cdf": cdf}
 
 
-@pytest.mark.parametrize("kind, rows",
-                         [("hm", 4), ("aux", 7), ("log_f6", 1), ("cdf", 1)])
+@pytest.mark.parametrize("kind, rows", [("hm", 3), ("log_f2", 1), ("aux", 7),
+                                        ("log_f6", 1), ("cdf", 1)])
 def test_hermite_float_path_is_the_array_path(hm, aux_lin, kind, rows):
     table = _tables(hm, aux_lin)[kind]
     assert table.nodes.shape[2] == rows
