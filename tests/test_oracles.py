@@ -76,6 +76,33 @@ def test_fredholm_preconditions():
         oracles.airy_kernel_fredholm(-11.0, 80)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -10.5, 16.5])
+def test_fredholm_range(t):
+    with pytest.raises(BadInterval, match=r"\[-10, 16\]"):
+        oracles.airy_kernel_fredholm(t, 60)
+
+
+@pytest.mark.parametrize("m", [60, 120])
+def test_fredholm_takes_airy_beyond_10_from_the_series(monkeypatch, m):
+    # scipy's Airy is several times slower past x = 10 than the series;
+    # nodes from 10 on go to the series, and the determinant is bitwise
+    # the one built from scipy's values there
+    grid = np.linspace(-6.0, 4.0, 41)
+    seen = []
+    airy_grid = oracles.airy_grid
+
+    def recording(s):
+        seen.append(np.array(s))
+        return airy_grid(s)
+
+    monkeypatch.setattr(oracles, "airy_grid", recording)
+    fast = [oracles.airy_kernel_fredholm(t, m) for t in grid]
+    assert len(seen) == len(grid)
+    assert all(np.all(s < 10.0) for s in seen)
+    monkeypatch.setattr(oracles, "airy_decaying", lambda s: tuple(airy(s)[:2]))
+    assert [oracles.airy_kernel_fredholm(t, m) for t in grid] == fast
+
+
 def test_sampler_determinism():
     a = oracles.sample_edge(100, 2.0, 500, 77)
     b = oracles.sample_edge(100, 2.0, 500, 77)
