@@ -79,14 +79,23 @@ class RunConfig:
 
 
 _SECTION_TYPES = {"hm": HmOptions, "aux": AuxOptions, "oracle": OracleOptions}
+# the JSON values each field annotation takes; a bool is no number here
+_VALUE_TYPES = {"int": (int,), "float": (int, float),
+                "float | None": (int, float, type(None)), "str": (str,)}
+
+
+def _checked(annotation: str, name: str, val):
+    if isinstance(val, bool) or not isinstance(val, _VALUE_TYPES[annotation]):
+        raise ParseError(f"'{name}' must be {annotation}, not {type(val).__name__}")
+    return val
 
 
 def _apply_section(obj, data: dict, prefix: str):
-    known = {f.name for f in dataclasses.fields(obj)}
+    known = {f.name: f.type for f in dataclasses.fields(obj)}
     for key, val in data.items():
         if key not in known:
             raise ParseError(f"unknown key '{prefix}{key}'")
-        setattr(obj, key, val)
+        setattr(obj, key, _checked(known[key], prefix + key, val))
     return obj
 
 
@@ -108,7 +117,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ParseError("config root must be an object")
     cfg = RunConfig()
-    top_known = {f.name for f in dataclasses.fields(RunConfig)}
+    top_known = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for key, val in raw.items():
         if key not in top_known:
             raise ParseError(f"unknown key {key!r}")
@@ -117,7 +126,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                 raise ParseError(f"section {key!r} must be an object")
             _apply_section(getattr(cfg, key), val, f"{key}.")
         else:
-            setattr(cfg, key, val)
+            setattr(cfg, key, _checked(top_known[key], key, val))
     return cfg.validate()
 
 

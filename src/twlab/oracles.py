@@ -9,18 +9,13 @@ the largest eigenvalue extracted by Laguerre's iteration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadInterval, EigenFailure, NonConvergence
-from .specfun import (
-    AIRY_SERIES_MIN,
-    airy_decaying,
-    airy_grid,
-    gauss_legendre,
-    inverse_node_gaps,
-)
+from .specfun import airy_grid, gauss_legendre, inverse_node_gaps
 
 __all__ = [
     "EdgeSampleSet",
@@ -30,6 +25,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096  # matrices per RNG block; sample i of a seed does not depend on count
+LIVE_CUT = 10.0  # the determinant's nodes from here on are dropped: Ai < 1.2e-10
 
 
 @dataclass(frozen=True)
@@ -48,23 +44,30 @@ class EdgeSampleSet:
 
 def airy_kernel_fredholm(t: float, m: int = 120) -> float:
     """det(I - K_Airy) on L^2(t, inf) by Nystrom discretization, for
-    -10 <= t <= 16 (BadInterval outside, and for NaN).
+    -10 <= t <= 16 (BadInterval outside, for NaN and for an m that is not
+    an integer).
 
     Gauss-Legendre nodes s_i with weights w_i on [t, t + span], span =
     max(14, 12 - t), a truncation point that puts the dropped tail far
     below the determinant tolerance; the interval stays inside [-10, 30].
-    Ai and Ai' come from `airy_grid` at the nodes below 10 and from the
-    asymptotic series `airy_decaying` at those from 10 on (24-68 of 120
-    for t in [-9, 4.5]), where scipy's Airy is several times slower. Ai
-    is below 1.2e-10 there, so the routes' 3e-14 relative difference is
-    far below the roundoff of the determinant. With a = sqrt(w) Ai and
-    a' = sqrt(w) Ai' at the nodes, the symmetric matrix
-    A = I - W^(1/2) K W^(1/2) is assembled directly:
+    With a = sqrt(w) Ai and a' = sqrt(w) Ai' at the nodes, the symmetric
+    matrix A = I - W^(1/2) K W^(1/2) is
 
         A_ij = (a'_i a_j - a_i a'_j) / (s_i - s_j)      (i != j),
         A_ii = 1 - w_i (Ai'(s_i)^2 - s_i Ai(s_i)^2),
 
     the kernel (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y) and its diagonal limit.
+
+    Only the k nodes below LIVE_CUT = 10 are assembled and factored (52-96
+    of 120, median 91, over 271 points of [-9, 4.5]); det A is taken as
+    det A11 of that block, and 1.0 exactly when k = 0 (every t >= 10).
+    Past 10, Ai < 1.2e-10 and the rest of A is the identity to roundoff:
+    with A = [[A11, A12], [A21, A22]] split at k,
+    det A = det A11 det(A22 - A21 A11^-1 A12), and A11's eigenvalues lie
+    in (0, 1], so |det A - det A11| <= sum|A22 - I| + ||A12||_F^2. The
+    worst case over m in {40, 60, 120, 200, 400} and 200 values of t in
+    [-9, 9.9] is 1.1e-20 for the first term and 3.4e-22 for the second.
+
     The gap s_i - s_j is span/2 times that of the unit rule, whose
     reciprocals are cached per m (`inverse_node_gaps`). Only the diagonal
     takes the limit: the smallest node gap on a span of 14 is about 86/m^2
@@ -73,24 +76,29 @@ def airy_kernel_fredholm(t: float, m: int = 120) -> float:
     m ~ 9000. The numerator and the gap both change sign exactly under
     i <-> j, so A is exactly symmetric, and I - K_Airy is positive definite
     on L^2(t, inf). The determinant is prod(diag L)^2 from the Cholesky
-    factor L of A; a failed factorization raises NonConvergence.
+    factor L of A11; a failed factorization raises NonConvergence.
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise BadInterval(f"airy_kernel_fredholm: m={m!r} is not an integer") from None
     if m < 40:
         raise BadInterval("airy_kernel_fredholm: m >= 40 required")
     if not -10.0 <= t <= 16.0:
         raise BadInterval(f"airy_kernel_fredholm: t={t} outside [-10, 16]")
     span = max(14.0, 12.0 - t)
     rule = gauss_legendre(m, t, t + span)
-    s, w = rule.nodes, rule.weights
-    k = int(np.searchsorted(s, AIRY_SERIES_MIN))
-    (ai, aip), (ai_d, aip_d) = airy_grid(s[:k]), airy_decaying(s[k:])
-    ai, aip = np.concatenate((ai, ai_d)), np.concatenate((aip, aip_d))
+    k = int(np.searchsorted(rule.nodes, LIVE_CUT))
+    if k == 0:
+        return 1.0
+    s, w = rule.nodes[:k], rule.weights[:k]
+    ai, aip = airy_grid(s)
     sw = np.sqrt(w)
     a, ap = sw * ai / (0.5 * span), sw * aip  # a takes the gaps' factor 2/span
     M = np.multiply.outer(ap, a)
     A = M - M.T  # ap_i a_j - a_i ap_j: products commute, so A = -A.T exactly
-    A *= inverse_node_gaps(m)
-    A.flat[:: m + 1] = 1.0 - w * (aip * aip - s * ai * ai)
+    A *= inverse_node_gaps(m)[:k, :k]
+    A.flat[:: k + 1] = 1.0 - w * (aip * aip - s * ai * ai)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:

@@ -56,6 +56,36 @@ def test_unknown_key_rejected(tmp_path):
         )
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("fredholm-f2", {"m": 60.5}),
+    ("fredholm-f2", {"m": 60.0}),
+    ("hm-solve", {"hm": {"n": 4000.0}}),
+    ("mc-edge", {"oracle": {"n": 60.5}}),
+    ("mc-edge", {"oracle": {"count": "50"}}),
+])
+def test_wrong_value_type_is_a_config_error(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, payload)
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    key = next(iter(payload))
+    name = key if key == "m" else f"{key}.{next(iter(payload[key]))}"
+    assert err["error"] == "config" and f"'{name}'" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_value_types_per_field(tmp_path):
+    # an int field takes an int but not a bool; a float field takes an int
+    # or a float; float | None also takes null; a str field takes a str
+    cfg = cli.config_from_dict({"m": 60, "grid_step": 1, "hm": {"tol": 1e-9},
+                                "aux": {"t_start": None, "t_end": -11}})
+    assert (cfg.m, cfg.grid_step, cfg.hm.tol, cfg.aux.t_start) == (60, 1, 1e-9, None)
+    for bad in ({"m": True}, {"grid_step": "0.1"}, {"hm": {"tol": None}},
+                {"aux": {"tol": False}}, {"t_grid": 1}, {"oracle": {"seed": 1.5}}):
+        with pytest.raises(ParseError, match="must be"):
+            cli.config_from_dict(bad)
+
+
 def test_format_key_rejected(tmp_path, capsys):
     # artifacts have one format (write_csv, write_json); naming one is an
     # unknown key

@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import airy
 
-from twlab import cli, oracles
+from twlab import cli, oracles, specfun
 from twlab.errors import BadInterval, EigenFailure, NonConvergence
 
 
@@ -74,6 +74,11 @@ def test_fredholm_preconditions():
         oracles.airy_kernel_fredholm(-4.0, 20)
     with pytest.raises(BadInterval):
         oracles.airy_kernel_fredholm(-11.0, 80)
+    # m must be an integer; a numpy integer is one
+    for m in (120.0, 120.5):
+        with pytest.raises(BadInterval, match="not an integer"):
+            oracles.airy_kernel_fredholm(0.0, m)
+    assert oracles.airy_kernel_fredholm(0.0, np.int64(120)) == oracles.airy_kernel_fredholm(0.0, 120)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -10.5, 16.5])
@@ -82,25 +87,62 @@ def test_fredholm_range(t):
         oracles.airy_kernel_fredholm(t, 60)
 
 
-@pytest.mark.parametrize("m", [60, 120])
-def test_fredholm_takes_airy_beyond_10_from_the_series(monkeypatch, m):
-    # scipy's Airy is several times slower past x = 10 than the series;
-    # nodes from 10 on go to the series, and the determinant is bitwise
-    # the one built from scipy's values there
-    grid = np.linspace(-6.0, 4.0, 41)
-    seen = []
-    airy_grid = oracles.airy_grid
+def _full_det(t, m):
+    # the oracle's m-node rule with every node kept: scipy's Airy at each
+    # node, the kernel with its diagonal limit, and a Cholesky determinant
+    rule = specfun.gauss_legendre(m, t, t + max(14.0, 12.0 - t))
+    s, w = rule.nodes, rule.weights
+    ai, aip, _, _ = airy(s)
+    diff = s[:, None] - s[None, :]
+    np.fill_diagonal(diff, 1.0)
+    K = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
+    np.fill_diagonal(K, aip**2 - s * ai**2)
+    sw = np.sqrt(w)
+    L = np.linalg.cholesky(np.eye(m) - sw[:, None] * K * sw[None, :])
+    return np.prod(np.diagonal(L)) ** 2
 
-    def recording(s):
+
+@pytest.mark.parametrize("m", [60, 120])
+def test_fredholm_cut_matches_full_rule(m):
+    # dropping the nodes past 10 moves no value beyond roundoff: measured
+    # max |difference| over these 41 points 6.7e-16 (m = 60) and 1.0e-15
+    # (m = 120); with every node kept, the oracle's own assembly was within
+    # 2.2e-16 of this one
+    errs = [abs(oracles.airy_kernel_fredholm(t, m) - _full_det(t, m))
+            for t in np.linspace(-9.0, 4.5, 41)]
+    assert max(errs) <= 3e-15
+
+
+def test_fredholm_factors_only_nodes_below_10(monkeypatch):
+    # Airy values and the factored block cover exactly the nodes below 10:
+    # 52 of 120 at t = 4.5
+    seen, shapes = [], []
+    airy_grid, cholesky = oracles.airy_grid, np.linalg.cholesky
+
+    def recording_airy(s):
         seen.append(np.array(s))
         return airy_grid(s)
 
-    monkeypatch.setattr(oracles, "airy_grid", recording)
-    fast = [oracles.airy_kernel_fredholm(t, m) for t in grid]
-    assert len(seen) == len(grid)
+    def recording_cholesky(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(oracles, "airy_grid", recording_airy)
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    for t in np.linspace(-9.0, 4.5, 10):
+        oracles.airy_kernel_fredholm(t, 120)
+    nodes = [specfun.gauss_legendre(120, t, t + max(14.0, 12.0 - t)).nodes
+             for t in np.linspace(-9.0, 4.5, 10)]
+    live = [int(np.sum(s < 10.0)) for s in nodes]
     assert all(np.all(s < 10.0) for s in seen)
-    monkeypatch.setattr(oracles, "airy_decaying", lambda s: tuple(airy(s)[:2]))
-    assert [oracles.airy_kernel_fredholm(t, m) for t in grid] == fast
+    assert [len(s) for s in seen] == live
+    assert shapes == [(k, k) for k in live]
+    assert live[-1] == 52
+
+
+@pytest.mark.parametrize("t, m", [(10.0, 120), (13.0, 120), (16.0, 120), (9.99, 40)])
+def test_fredholm_without_nodes_below_10_is_one(t, m):
+    assert oracles.airy_kernel_fredholm(t, m) == 1.0
 
 
 def test_sampler_determinism():

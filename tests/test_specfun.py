@@ -144,31 +144,6 @@ def test_airy_grid_rejects_nan():
         specfun.airy(np.nan)
 
 
-def test_airy_decaying_against_mpmath_table():
-    rows = [row for row in AIRY_TABLE if row[0] >= 10.0]
-    assert [row[0] for row in rows] == [10.0, 13.0, 20.0, 30.0]
-    ai, aip = specfun.airy_decaying(np.array([row[0] for row in rows]))
-    for i, (t, ai_ref, aip_ref) in enumerate(rows):
-        assert abs(ai[i] - ai_ref) <= 1e-13 * abs(ai_ref), t
-        assert abs(aip[i] - aip_ref) <= 1e-13 * abs(aip_ref), t
-
-
-def test_airy_decaying_matches_scipy():
-    # measured 2.8e-14 relative; against 40-digit values on 401 points of
-    # [10, 30] the series is within 2.44e-14 and scipy within 2.40e-14
-    x = np.linspace(10.0, 30.0, 2001)
-    ai, aip = specfun.airy_decaying(x)
-    ref_ai, ref_aip = specfun.airy_grid(x)
-    assert np.max(np.abs(ai / ref_ai - 1.0)) <= 5e-14
-    assert np.max(np.abs(aip / ref_aip - 1.0)) <= 5e-14
-
-
-@pytest.mark.parametrize("x", [9.99, 30.5, np.nan])
-def test_airy_decaying_domain_error(x):
-    with pytest.raises(DomainError):
-        specfun.airy_decaying(np.array([20.0, x]))
-
-
 def test_gauss_legendre_two_point():
     rule = specfun.gauss_legendre(2, -1.0, 1.0)
     assert np.allclose(rule.nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-15)
@@ -204,6 +179,12 @@ def test_gauss_legendre_preconditions():
         specfun.gauss_legendre(1, 0.0, 1.0)
     with pytest.raises(BadInterval):
         specfun.gauss_legendre(4, 1.0, 1.0)
+    # m must be an integer; a numpy integer is one
+    for m in (120.0, 120.5, 2.5):
+        with pytest.raises(BadInterval, match="not an integer"):
+            specfun.gauss_legendre(m, 0.0, 1.0)
+    rule = specfun.gauss_legendre(np.int64(120), 0.0, 1.0)
+    assert np.array_equal(rule.nodes, specfun.gauss_legendre(120, 0.0, 1.0).nodes)
 
 
 def test_gauss_legendre_m120_outermost_against_mpmath():
