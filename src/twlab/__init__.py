@@ -23,7 +23,7 @@ from .distribution import DistTable, eval_F2, eval_F6, quantile, tabulate
 from .laxframe import PsiField, edge_pde_residual, psi11_field
 from .oracles import EdgeSampleSet, airy_kernel_fredholm, ks_distance, sample_edge
 from .painleve2 import Painleve2Solution, eval_series, solve_hastings_mcleod
-from .specfun import AiryValue, QuadratureRule, airy, gauss_legendre, integrate_to_infinity
+from .specfun import AiryValue, QuadratureRule, airy, gauss_legendre
 
 __all__ = [
     "__version__",
@@ -49,7 +49,6 @@ __all__ = [
     "gauss_legendre",
     "integrate_linear",
     "integrate_nonlinear",
-    "integrate_to_infinity",
     "ks_distance",
     "psi11_field",
     "quantile",

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateDenominator,
     DegenerateQ2,
     PoleEncountered,
-    StepFailure,
 )
 from .rk import HermiteTable, diff5, solve_linear, solve_rk
 
@@ -185,8 +184,8 @@ def integrate_linear(
     back into it, so rk.solve_linear integrates it in uniform DOP853 steps
     (rtol tol, atol 1e-24) built for all steps at once. A q2 pole (chi =
     mu+ - mu- reaching zero, or |q2| past BLOWUP_GUARD) at any stage or
-    output node raises PoleEncountered at the first such t; so does a
-    StepFailure of the integrator, which only the 1/chi channels can cause.
+    output node raises PoleEncountered at the first such t. A StepFailure
+    of the integrator propagates with the t where it stopped.
     """
     if t_start < 8.0:
         raise BadInterval("integrate_linear: t_start >= 8 required")
@@ -231,18 +230,10 @@ def integrate_linear(
             t_pole = float(t[np.argmax(pole)])
             raise PoleEncountered(f"q2 pole near t={t_pole:.6f}", t=t_pole)
 
-    try:
-        sol = solve_linear(
-            system, t_start, t_end, init, [-0.5 * np.log(u_start), 0.0, 0.0, 0.0],
-            rtol=tol, atol=1e-24, guard=guard,
-        )
-    except StepFailure as exc:
-        # the (mu+, mu-, nu) channels are linear with smooth coefficients:
-        # only the 1/chi quadrature channels can fail the error test, near
-        # a pole the guard does not see (chi keeping its sign)
-        raise PoleEncountered(
-            f"integration stopped near t={exc.t:.6f} (q2 pole)", t=exc.t
-        ) from exc
+    sol = solve_linear(
+        system, t_start, t_end, init, [-0.5 * np.log(u_start), 0.0, 0.0, 0.0],
+        rtol=tol, atol=1e-24, guard=guard,
+    )
     aux = AuxSolution(
         route="linear",
         t_start=float(t_start),

@@ -75,6 +75,8 @@ class RunConfig:
         for name, val in (("hm.tol", self.hm.tol), ("aux.tol", self.aux.tol)):
             if val <= 0:
                 raise ParseError(f"{name} must be positive")
+        if self.beta not in (2, 6):
+            raise ParseError(f"beta must be 2 or 6, not {self.beta}")
         return self
 
 
@@ -238,9 +240,9 @@ def _solve_aux(cfg: RunConfig, hm) -> auxsys.AuxSolution:
     )
 
 
-def _fine_hm(t_min=-13.0) -> painleve2.Painleve2Solution:
-    """Hastings-McLeod on [t_min, 13] at step 5e-4: the verification and
-    tail-constant solve."""
+def _fine_hm(t_min) -> painleve2.Painleve2Solution:
+    """Hastings-McLeod on [t_min, 13] at the library's default step 5e-4,
+    for tails-compare windows that reach left of the default t_min."""
     return painleve2.solve_hastings_mcleod(
         t_min, 13.0, int((13 - t_min) / 5e-4) + 1, 1e-11
     )
@@ -306,9 +308,8 @@ def _cmd_tw_table(cfg, man):
 
 
 def _verification_inputs():
-    hm = _fine_hm()
-    aux = auxsys.integrate_linear(hm, t_start=12.0, t_end=-11.0)
-    return hm, aux
+    hm = painleve2.solve_hastings_mcleod()
+    return hm, auxsys.integrate_linear(hm)
 
 
 def _cmd_verify_identities(cfg, man):
@@ -374,9 +375,7 @@ def _cmd_verify_pde(cfg, man):
     fld = laxframe.psi11_field(hm, aux, xg, tg)
     r1 = laxframe.edge_pde_residual(fld, stride=1)
     r2 = laxframe.edge_pde_residual(fld, stride=2)
-    aux_bad = auxsys.integrate_nonlinear(
-        hm, t_start=12.0, t_end=-11.0, b_constraint_scale=1.0
-    )
+    aux_bad = auxsys.integrate_nonlinear(hm, b_constraint_scale=1.0)
     fld_bad = laxframe.psi11_field(hm, aux_bad, xg, tg)
     rb = laxframe.edge_pde_residual(fld_bad, stride=1)
     report = {
@@ -451,17 +450,12 @@ def _cmd_tails_compare(cfg, man):
     if beta == 2:
         hm = _fine_hm(min(-13.0, lo - 1.5))
         log_f = functools.partial(distribution.log_F2, hm)
-    elif beta == 6:
+    else:
         t_int_lo = distribution.SCALE_T * lo - 1.0
         hm = _fine_hm(min(-13.0, t_int_lo - 1.0))
         aux = auxsys.integrate_linear(hm, t_start=12.0, t_end=t_int_lo)
         log_f = functools.partial(distribution.log_F6, hm, aux)
-    else:
-        raise ParseError("tails-compare: beta must be 2 or 6")
-    coef = [float(x) for x in asymptotics.exact_tail_coefficients(beta)]
-    c0_est, drift = asymptotics.extract_constant(
-        log_f, (coef[0], coef[1] * np.sqrt(2.0), coef[2]), (lo, hi)
-    )
+    c0_est, drift = asymptotics.extract_constant(log_f, beta, (lo, hi))
     report = {
         "beta": beta,
         "window": [lo, hi],

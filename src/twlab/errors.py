@@ -77,10 +77,6 @@ class OutOfSupportedRange(TwlabError):
     """Quantile probability outside the tabulated coverage."""
 
 
-class QuadratureFailure(TwlabError):
-    """Quadrature for the closed-form constant failed to converge."""
-
-
 class IllConditionedFit(TwlabError):
     """Least-squares extraction window is degenerate."""
 

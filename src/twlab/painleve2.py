@@ -77,14 +77,7 @@ _SERIES: dict[str, list[tuple[Fraction, int, Fraction]]] = {
         (_F(21, 8), 0, _F(-3)),
         (_F(1707, 64), -1, _F(-9, 2)),
     ],
-    # log F6 tail in the external variable, constant term excluded
-    # (it is undetermined here; see asymptotics.TailModel)
-    "logF6": [
-        (_F(-1, 4), 0, _F(3)),
-        (_F(2, 3), 1, _F(3, 2)),
-    ],
 }
-_LOGF6_LOG_COEF = _F(1, 24)
 
 
 def _ladder(kind: str):
@@ -105,10 +98,7 @@ def eval_series(kind: str, t: float, order: int) -> float:
     x = -float(t)
     if x <= 0:
         raise OutOfRange(f"{kind} series: needs t < 0, got {t}")
-    total = sum(float(c) * SQRT2**s2 * x ** float(e) for c, s2, e in ladder[:order + 1])
-    if kind == "logF6":
-        total += float(_LOGF6_LOG_COEF) * np.log(x)
-    return total
+    return sum(float(c) * SQRT2**s2 * x ** float(e) for c, s2, e in ladder[:order + 1])
 
 
 def series_term_magnitude(kind: str, t: float, index: int) -> float:

@@ -4,8 +4,7 @@ Airy Ai and Ai' come from scipy.special.airy in float64 on [-30, 30]
 (DomainError outside). Against 40-digit values on 601 points of that
 range they are within 2.3e-14 relative for t >= 0 and 2.5e-14 absolute
 for t < 0. Gauss-Legendre rules come from Newton iteration on the
-Legendre recurrence; semi-infinite integrals use geometrically growing
-panels.
+Legendre recurrence.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import BadInterval, DomainError, NonConvergence
+from .errors import BadInterval, DomainError
 
 __all__ = [
     "AiryValue",
@@ -25,7 +24,6 @@ __all__ = [
     "airy",
     "airy_grid",
     "gauss_legendre",
-    "integrate_to_infinity",
     "inverse_node_gaps",
 ]
 
@@ -131,38 +129,3 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
         nodes=a + half * (x + 1.0), weights=half * w, interval=(float(a), float(b))
     )
 
-
-def integrate_to_infinity(
-    f,
-    t0: float,
-    decay_scale: float,
-    *,
-    rel_tol: float = 1e-15,
-    max_panels: int = 60,
-    nodes_per_panel: int = 24,
-    growth: float = 1.5,
-) -> float:
-    """Integral of f over (t0, inf) for integrands decaying at least like
-    exp(-s/decay_scale), by Gauss-Legendre on geometrically growing panels.
-
-    Truncates when a panel contributes less than rel_tol of the running
-    total; raises NonConvergence if max_panels do not reach that criterion.
-    """
-    if decay_scale <= 0:
-        raise BadInterval("integrate_to_infinity: decay_scale must be positive")
-    total = 0.0
-    left = float(t0)
-    width = float(decay_scale)
-    scale = 0.0
-    for _ in range(max_panels):
-        rule = gauss_legendre(nodes_per_panel, left, left + width)
-        panel = rule.integrate(f)
-        total += panel
-        scale = max(scale, abs(total))
-        if abs(panel) <= rel_tol * max(scale, 1e-300):
-            return total
-        left += width
-        width *= growth
-    raise NonConvergence(
-        f"integrate_to_infinity: no truncation after {max_panels} panels"
-    )

@@ -146,7 +146,7 @@ def test_criterion_7_tail_derivative(hm, aux_lin):
         distribution.log_F6(hm, aux_lin, (-8.0 + h) / SC)
         - distribution.log_F6(hm, aux_lin, (-8.0 - h) / SC)
     ) / (2 * h)
-    pred = asymptotics.tail_logF_derivative_internal(-8.0)
+    pred = asymptotics.tail_logF_derivative(6.0, -8.0 / SC) / SC
     bound = 3.0 * 8.0**-2.5
     assert abs(num - pred) <= bound
     cubic, th_sqrt2, logc = asymptotics.exact_tail_coefficients(Fraction(6))
@@ -186,28 +186,24 @@ def test_criterion_8_beta6_other_seeds(hm, aux_lin):
 
 
 def test_criterion_9_constant_report(hm, hm_deep, aux_deep):
-    """Exploratory, non-gating: extracted constants vs the closed form."""
-    coef2 = tuple(float(x) for x in asymptotics.exact_tail_coefficients(Fraction(2)))
-    coefficients2 = (coef2[0], coef2[1] * np.sqrt(2.0), coef2[2])
+    """Extracted constants vs the closed form: reported at beta = 6, where
+    the fixtures' solve is too shallow to gate."""
     c0_2, drift2 = asymptotics.extract_constant(
-        lambda t: distribution.log_F2(hm, t), coefficients2, (-9.0, -7.0)
+        lambda t: distribution.log_F2(hm, t), 2.0, (-9.0, -7.0)
     )
-    coef6 = tuple(float(x) for x in asymptotics.exact_tail_coefficients(Fraction(6)))
-    coefficients6 = (coef6[0], coef6[1] * np.sqrt(2.0), coef6[2])
     c0_6, drift6 = asymptotics.extract_constant(
-        lambda t: distribution.log_F6(hm_deep, aux_deep, t),
-        coefficients6,
-        (-6.8, -5.0),
+        lambda t: distribution.log_F6(hm_deep, aux_deep, t), 6.0, (-6.8, -5.0)
     )
     f2, f6 = asymptotics.eval_c0(2.0), asymptotics.eval_c0(6.0)
     print(
-        "CRITERION 9: REPORT (non-gating)\n"
+        "CRITERION 9: REPORT (beta=6 non-gating)\n"
         f"  beta=2: extracted c0 = {c0_2:+.6f} (drift {drift2:+.1e}), "
-        f"closed form = {f2:+.6f}, gap = {c0_2 - f2:+.4f}\n"
+        f"closed form = {f2:+.6f}, gap = {c0_2 - f2:+.1e}\n"
         f"  beta=6: extracted c0 = {c0_6:+.6f} (drift {drift6:+.1e}), "
-        f"closed form = {f6:+.6f}, gap = {c0_6 - f6:+.4f}\n"
-        "  the closed form disagrees with the exactly known beta=2 value "
-        "by +0.5200; the comparison is reported as evidence, not gated"
+        f"closed form = {f6:+.6f}, gap = {c0_6 - f6:+.1e}\n"
+        "  the closed form meets the proven beta = 1, 2, 4 constants to 1e-15 "
+        "(test_asymptotics); the beta=6 gap is that of a two-term fit on a "
+        "shallow window, so it is reported, not gated"
     )
     # the extraction machinery itself is validated against the known value
     assert abs(c0_2 - (-0.1365400111756436)) < 5e-3

@@ -122,14 +122,13 @@ def test_pole_encountered_guard(hm):
     assert abs(exc.value.t - t_zero) <= 0.005
 
 
-def test_step_failure_reported_as_pole(hm, monkeypatch):
-    # only the 1/chi quadrature channels can fail the error test, near a
-    # pole the guard does not see
+def test_step_failure_propagates_with_its_t(hm, monkeypatch):
+    # the guard reports every pole, so a failed step is not relabelled
     def fail(*args, **kwargs):
         raise StepFailure(3.5)
 
     monkeypatch.setattr(auxsys, "solve_linear", fail)
-    with pytest.raises(PoleEncountered) as exc:
+    with pytest.raises(StepFailure) as exc:
         auxsys.integrate_linear(hm)
     assert exc.value.t == 3.5
 

@@ -86,6 +86,19 @@ def test_value_types_per_field(tmp_path):
             cli.config_from_dict(bad)
 
 
+@pytest.mark.parametrize("command, artifact", [("tw-table", "tw4.csv"),
+                                               ("mc-edge", "edge_beta4.csv")])
+def test_unsupported_config_beta_is_a_config_error(tmp_path, capsys, command, artifact):
+    # --beta is limited to 2 and 6 on the command line; a config's beta too
+    cfg = write_config(tmp_path, {"beta": 4})
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "beta" in err["message"]
+    assert not (out / artifact).exists()
+
+
 def test_format_key_rejected(tmp_path, capsys):
     # artifacts have one format (write_csv, write_json); naming one is an
     # unknown key
@@ -253,6 +266,17 @@ def test_tw_table_beta6_records_solver_work(tmp_path):
     assert res["rhs_calls"] > 16 * res["steps"]
 
 
+def test_tw_table_beta6_step_failure_is_reported_as_such(tmp_path, capsys):
+    # at n = 2501 on [-12, 13] the linear route fails its error test at the
+    # right end; that is a StepFailure at t = 13, not a q2 pole
+    cfg = write_config(tmp_path, {"hm": {"t_max": 13.0, "n": 2501}})
+    rc = cli.main(["tw-table", "--config", str(cfg), "--beta", "6",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StepFailure" and "t=13.0" in err["message"]
+
+
 def test_mc_edge_run_reports_ks(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -308,8 +332,10 @@ def test_tails_compare_beta2(tmp_path):
     )
     assert rc == 0
     rep = json.load(open(tmp_path / "tails_beta2.json"))
-    assert abs(rep["c0_extracted"] - (-0.13654)) < 5e-3
-    assert "c0_formula" in rep and "drift" in rep
+    # zeta'(-1) + log(2)/24, 30 digits
+    assert abs(rep["c0_formula"] - (-0.136540011177119874654868321849)) <= 1e-12
+    assert abs(rep["c0_extracted"] - rep["c0_formula"]) < 5e-3
+    assert "drift" in rep
 
 
 def test_verify_pde_coarse(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twlab import cli, distribution, oracles, painleve2, specfun
+from twlab import asymptotics, cli, distribution, oracles, painleve2, specfun
 from twlab.errors import BadInterval, OrderTooHigh, OutOfRange, UnknownSeries
 
 
@@ -204,7 +204,7 @@ def test_series_q2_branch_values():
 
 
 def test_series_logf6_terms():
-    v = painleve2.eval_series("logF6", -8.0, 1)
+    v = asymptotics.eval_tail_logF(asymptotics.TailModel.for_beta(6, c0=0), -8.0)
     want = -0.25 * 512 + (2 * np.sqrt(2) / 3) * 8**1.5 + np.log(8.0) / 24
     assert abs(v - want) < 1e-12
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twlab import specfun
-from twlab.errors import BadInterval, DomainError, NonConvergence
+from twlab.errors import BadInterval, DomainError
 
 # classical closed forms: Ai(0) = 3^{-2/3}/Gamma(2/3), Ai'(0) = -3^{-1/3}/Gamma(1/3),
 # cross-checked against a 40-term Maclaurin sum before freezing
@@ -218,31 +218,3 @@ def test_gauss_legendre_cache_is_read_only():
     assert np.array_equal(again.nodes, want_nodes)
     assert np.array_equal(again.weights, want_weights)
 
-
-def test_integrate_to_infinity_exponential():
-    val = specfun.integrate_to_infinity(lambda s: np.exp(-s), 0.0, 1.0)
-    assert abs(val - 1.0) < 1e-13
-
-
-def test_integrate_to_infinity_gaussian_moment():
-    val = specfun.integrate_to_infinity(lambda s: s * np.exp(-s * s), 0.0, 1.0)
-    assert abs(val - 0.5) < 1e-13
-
-
-def test_integrate_to_infinity_airy_squared_self_consistent():
-    f = lambda s: specfun.airy_grid(np.minimum(s, 30.0))[0] ** 2
-    a = specfun.integrate_to_infinity(f, 0.0, 0.5)
-    b = specfun.integrate_to_infinity(f, 0.0, 0.5, nodes_per_panel=48)
-    assert abs(a - b) < 1e-12
-
-
-def test_integrate_to_infinity_order_doubling():
-    f = lambda s: np.exp(-s) * np.sin(s)
-    a = specfun.integrate_to_infinity(f, 0.0, 1.0)
-    b = specfun.integrate_to_infinity(f, 0.0, 1.0, nodes_per_panel=48)
-    assert abs(a - b) < 1e-13
-
-
-def test_integrate_to_infinity_nonconvergence():
-    with pytest.raises(NonConvergence):
-        specfun.integrate_to_infinity(lambda s: 1.0 / (1.0 + s * s), 0.0, 1.0)
