@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -73,8 +74,8 @@ class RunConfig:
 
     def validate(self):
         for name, val in (("hm.tol", self.hm.tol), ("aux.tol", self.aux.tol)):
-            if val <= 0:
-                raise ParseError(f"{name} must be positive")
+            if not (math.isfinite(val) and val > 0):
+                raise ParseError(f"{name} must be finite and positive, not {val!r}")
         if self.beta not in (2, 6):
             raise ParseError(f"beta must be 2 or 6, not {self.beta}")
         return self

@@ -26,6 +26,13 @@ __all__ = [
 
 _CHUNK = 4096  # matrices per RNG block; sample i of a seed does not depend on count
 LIVE_CUT = 10.0  # the determinant's nodes from here on are dropped: Ai < 1.2e-10
+# Largest determinant order: its cached gap matrix is m x m and its factored
+# block at most that, 8 MB each at m = 1000 (tests and perfbench use m <= 400)
+MAX_ORDER = 1000
+# Largest sampled matrix size: each of a block's two draws is 4096 x n
+# float64, 33 MB at n = 1000 (tests and perfbench use n <= 400; the block
+# rows are checked at n = 800)
+MAX_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,8 @@ class EdgeSampleSet:
 
 def airy_kernel_fredholm(t: float, m: int = 120) -> float:
     """det(I - K_Airy) on L^2(t, inf) by Nystrom discretization, for
-    -10 <= t <= 16 (BadInterval outside, for NaN and for an m that is not
-    an integer).
+    -10 <= t <= 16 and 40 <= m <= MAX_ORDER (BadInterval outside, for NaN
+    and for an m that is not an integer).
 
     Gauss-Legendre nodes s_i with weights w_i on [t, t + span], span =
     max(14, 12 - t), a truncation point that puts the dropped tail far
@@ -82,8 +89,8 @@ def airy_kernel_fredholm(t: float, m: int = 120) -> float:
         m = operator.index(m)
     except TypeError:
         raise BadInterval(f"airy_kernel_fredholm: m={m!r} is not an integer") from None
-    if m < 40:
-        raise BadInterval("airy_kernel_fredholm: m >= 40 required")
+    if not 40 <= m <= MAX_ORDER:
+        raise BadInterval(f"airy_kernel_fredholm: 40 <= m <= {MAX_ORDER} required")
     if not -10.0 <= t <= 16.0:
         raise BadInterval(f"airy_kernel_fredholm: t={t} outside [-10, 16]")
     span = max(14.0, 12.0 - t)
@@ -187,7 +194,9 @@ def _laguerre_lambda_max(diag: np.ndarray, off2: np.ndarray) -> tuple[np.ndarray
 
 
 def sample_edge(n: int, beta: float, count: int, seed: int) -> EdgeSampleSet:
-    """Draw scaled edge samples from the tridiagonal ensemble realization.
+    """Draw scaled edge samples from the tridiagonal ensemble realization,
+    for 50 <= n <= MAX_SIZE, beta > 0, count >= 1 and seed >= 0
+    (BadInterval otherwise).
 
     Matrix: diagonal N(0, 1/beta); off-diagonal chi_{beta(n-k)}/sqrt(2 beta)
     (Dumitriu-Edelman; this normalization reproduces the classical cases
@@ -210,10 +219,14 @@ def sample_edge(n: int, beta: float, count: int, seed: int) -> EdgeSampleSet:
     The scaling centres at sqrt(2 n') with n' = n + 1/2 - 1/beta, which
     removes the O(n^(-1/3)) bias of the mean (n' = n at beta = 2).
     """
-    if n < 50:
-        raise BadInterval("sample_edge: n >= 50 required")
+    if not 50 <= n <= MAX_SIZE:
+        raise BadInterval(f"sample_edge: 50 <= n <= {MAX_SIZE} required")
     if beta <= 0:
         raise BadInterval("sample_edge: beta > 0 required")
+    if count < 1:
+        raise BadInterval("sample_edge: count >= 1 required")
+    if seed < 0:
+        raise BadInterval("sample_edge: seed >= 0 required")
     m = _block_rows(n)
     k = np.arange(n - 1, 0, -1)
     lam = np.empty(count)

@@ -190,7 +190,11 @@ def solve_hastings_mcleod(
     inside the Hastings-McLeod basin. Steps of
     max|du| <= NEWTON_FULL_STEP are taken undamped, and the iteration
     stops once that undamped max|du| (reported as final_update) is below
-    tol, so the converged u does not depend on the start.
+    tol, so the converged u does not depend on the start. tol must lie in
+    (0, NEWTON_FULL_STEP] (BadInterval otherwise): above it Newton may stop
+    on a damped step, and at 1.0 it stops after its first iteration. At
+    the CLI defaults every tol <= 1e-6 gives the tables of 1e-10 bit for
+    bit.
 
     Grid-quality note: the stored midpoint ODE residual scales like
     u'''' h^2 / 24, so the 1e-8 residual target needs h <= ~5e-4
@@ -200,6 +204,8 @@ def solve_hastings_mcleod(
         raise BadInterval("need t_min <= -10 and t_max >= 6")
     if n < 2000:
         raise BadInterval("need n >= 2000")
+    if not 0.0 < tol <= NEWTON_FULL_STEP:
+        raise BadInterval(f"need 0 < tol <= {NEWTON_FULL_STEP:g}, not {tol!r}")
     t = np.linspace(t_min, t_max, n)
     h = t[1] - t[0]
     u, it, last_update, coarse_it = _solve_on(t, tol)

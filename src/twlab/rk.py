@@ -3,9 +3,10 @@
 One DOP853, two ways to advance it. Every ODE here is integrated by
 DOP853, the explicit 8(5,3) Runge-Kutta pair of Dormand and Prince with
 its 7th-order dense output (Hairer, Norsett and Wanner, Solving ODEs I,
-sec. II.4 and II.10), in float64 with scipy's coefficients, and sampled
-at uniformly spaced output nodes. Both ways share the error norm
-(_error_norm) and the dense output (_dense_output).
+sec. II.4 and II.10), in float64, and sampled at uniformly spaced output
+nodes. Its tableau is written out in _dop853 and equals scipy's bit for
+bit. Both ways share the error norm (_error_norm) and the dense output
+(_dense_output).
 
 solve_rk steps a general y' = f(t, y) adaptively, with scipy's step
 control: one RHS call per stage inside the step loop, then the three
@@ -33,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as dop853
 
+from . import _dop853 as dop853
 from .errors import BadInterval, OutOfRange, StepFailure
 
 # Step cap of solve_rk and first step of solve_linear. On the auxiliary

@@ -99,6 +99,32 @@ def test_unsupported_config_beta_is_a_config_error(tmp_path, capsys, command, ar
     assert not (out / artifact).exists()
 
 
+@pytest.mark.parametrize("argv, payload, error", [
+    (["tw-table", "--beta", "2"], {"hm": {"tol": 1e-3}}, "BadInterval"),
+    (["tw-table", "--beta", "2"], {"hm": {"tol": 1.0}}, "BadInterval"),
+    (["tw-table", "--beta", "2"], {"hm": {"tol": float("inf")}}, "config"),
+    (["tw-table", "--beta", "2"], {"hm": {"tol": float("nan")}}, "config"),
+    (["tw-table", "--beta", "6"], {"aux": {"tol": float("nan")}}, "config"),
+    (["mc-edge", "--beta", "2"], {"oracle": {"count": -5}}, "BadInterval"),
+    (["mc-edge", "--beta", "2"], {"oracle": {"count": 0}}, "BadInterval"),
+    (["mc-edge", "--beta", "2"], {"oracle": {"seed": -1}}, "BadInterval"),
+    (["mc-edge", "--beta", "2"], {"oracle": {"n": 100000}}, "BadInterval"),
+    (["fredholm-f2"], {"m": 100000}, "BadInterval"),
+], ids=["hm-tol-1e-3", "hm-tol-1", "hm-tol-inf", "hm-tol-nan", "aux-tol-nan", "count-neg",
+        "count-0", "seed-neg", "n-1e5", "m-1e5"])
+def test_out_of_range_setting_is_one_json_error(tmp_path, capsys, argv, payload, error):
+    # a tolerance that cannot give the stated table, and an oracle size or
+    # seed out of range, each fail before any solve, draw or allocation
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    rc = cli.main(argv + ["--config", str(cfg), "--out", str(out)])
+    assert rc == (2 if error == "config" else 1)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == error
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_format_key_rejected(tmp_path, capsys):
     # artifacts have one format (write_csv, write_json); naming one is an
     # unknown key

@@ -74,6 +74,8 @@ def test_fredholm_preconditions():
         oracles.airy_kernel_fredholm(-4.0, 20)
     with pytest.raises(BadInterval):
         oracles.airy_kernel_fredholm(-11.0, 80)
+    with pytest.raises(BadInterval, match="m <= 1000"):
+        oracles.airy_kernel_fredholm(-4.0, oracles.MAX_ORDER + 1)
     # m must be an integer; a numpy integer is one
     for m in (120.0, 120.5):
         with pytest.raises(BadInterval, match="not an integer"):
@@ -311,6 +313,11 @@ def test_sampler_preconditions():
         oracles.sample_edge(10, 2.0, 100, 1)
     with pytest.raises(BadInterval):
         oracles.sample_edge(100, 0.0, 100, 1)
+    # each fails its check before anything is drawn or allocated
+    for n, count, seed in ((oracles.MAX_SIZE + 1, 100, 1), (100, 0, 1), (100, -5, 1),
+                           (100, 100, -1)):
+        with pytest.raises(BadInterval):
+            oracles.sample_edge(n, 2.0, count, seed)
 
 
 def test_chi_square_moments():

@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,17 @@ def test_every_export_resolves(name):
     # a stale name in __all__ would make `from <module> import *` raise
     mod = importlib.import_module(name)
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def test_import_leaves_scipy_integrate_out():
+    # twlab holds DOP853's tableau itself; scipy.integrate would also load
+    # optimize, sparse and spatial (~20 MB, ~0.2 s of every command)
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial"]
+    code = f"import sys, twlab; print([m for m in {heavy!r} if m in sys.modules])"
+    src = pathlib.Path(twlab.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "[]"
 
 
 def _namespaces():

@@ -180,6 +180,10 @@ def test_preconditions():
         painleve2.solve_hastings_mcleod(t_max=5.0)
     with pytest.raises(BadInterval):
         painleve2.solve_hastings_mcleod(n=100)
+    # above 1e-6 Newton may stop on a damped step
+    for tol in (2e-6, 1.0, np.inf, np.nan, 0.0, -1e-10):
+        with pytest.raises(BadInterval, match="tol"):
+            painleve2.solve_hastings_mcleod(tol=tol)
 
 
 def test_series_omega_example():

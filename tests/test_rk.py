@@ -4,9 +4,21 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
-from twlab import auxsys, distribution, painleve2, rk
+from twlab import _dop853, auxsys, distribution, painleve2, rk
 from twlab.errors import OutOfRange, StepFailure
+
+
+@pytest.mark.parametrize("name", ["N_STAGES", "N_STAGES_EXTENDED", "A", "B", "C", "D",
+                                  "E3", "E5"])
+def test_tableau_is_scipys_bit_for_bit(name):
+    ours, ref = getattr(_dop853, name), getattr(dop853_coefficients, name)
+    if isinstance(ref, int):
+        assert type(ours) is int and ours == ref
+    else:
+        assert (ours.shape, ours.dtype) == (ref.shape, ref.dtype)
+        assert ours.tobytes() == ref.tobytes()
 
 
 def test_exponential_decay_accuracy():
